@@ -28,6 +28,12 @@ let full = lazy (Flow.full_circuit (Lazy.force env))
 (* Snapshot of the process-wide metrics registry (pool telemetry
    included), embedded in the BENCH_*.json artifacts so each benchmark
    carries its own counters. *)
+(* [f ()] and its wall-clock seconds *)
+let timed f =
+  let t0 = Engine.Clock.now () in
+  let r = f () in
+  (r, Engine.Clock.now () -. t0)
+
 let metrics_json () =
   (match Engine.Pool.global_stats () with
    | Some _ -> Engine.Pool.publish_metrics (Engine.Pool.global ())
@@ -337,23 +343,19 @@ let ablation_granularity () =
 let ablation_cache () =
   (* constraint cache: shared session vs cold session per module *)
   let e = Lazy.force env in
-  let timed f =
-    let t0 = Engine.Clock.now () in
-    ignore (f ());
-    Engine.Clock.now () -. t0
-  in
+  let seconds f = snd (timed f) in
   let shared_session = Factor.Compose.create_session () in
   let rows =
     List.map
       (fun spec ->
         let cold =
-          timed (fun () ->
+          seconds (fun () ->
               Factor.Compose.compositional
                 (Factor.Compose.create_session ())
                 e ~mut_path:spec.Flow.ms_path)
         in
         let warm =
-          timed (fun () ->
+          seconds (fun () ->
               Factor.Compose.compositional shared_session e
                 ~mut_path:spec.Flow.ms_path)
         in
@@ -715,7 +717,6 @@ let micro () =
   let open Bechamel in
   let e = Lazy.force env in
   let c = Lazy.force full in
-  let order = (Netlist.analysis c).Netlist.Analysis.order in
   let faults =
     Atpg.Fault.collapse c (Atpg.Fault.all ~within:"u_dpath.u_alu" c)
   in
@@ -750,7 +751,7 @@ let micro () =
            List.iter
              (fun t ->
                ignore
-                 (Atpg.Fsim.run_batch_reference c ~order ~faults:batch
+                 (Atpg.Fsim.run_batch_reference c ~faults:batch
                     ~observe:Atpg.Fsim.default_observe t))
              tests))
   in
@@ -815,17 +816,18 @@ let bench_fsim_on ~name c ~num_tests =
           ~piers)
   in
   let observe = { Atpg.Fsim.ob_pos = true; ob_pier_ffs = piers } in
-  let timed kind =
+  let grade kind =
     let e0 = Atpg.Fsim.evals_for kind in
-    let t0 = Engine.Clock.now () in
-    let r = Atpg.Fsim.run ~engine:kind c ~observe ~faults tests in
-    (r, Engine.Clock.now () -. t0, Atpg.Fsim.evals_for kind - e0)
+    let (r, wall) =
+      timed (fun () -> Atpg.Fsim.run ~engine:kind c ~observe ~faults tests)
+    in
+    (r, wall, Atpg.Fsim.evals_for kind - e0)
   in
   let words0 = Atpg.Fsim.packed_word_count () in
-  let (packed_flags, packed_wall, packed_evals) = timed Atpg.Fsim.Packed in
+  let (packed_flags, packed_wall, packed_evals) = grade Atpg.Fsim.Packed in
   let packed_words = Atpg.Fsim.packed_word_count () - words0 in
-  let (event_flags, event_wall, event_evals) = timed Atpg.Fsim.Event in
-  let (ref_flags, ref_wall, ref_evals) = timed Atpg.Fsim.Reference in
+  let (event_flags, event_wall, event_evals) = grade Atpg.Fsim.Event in
+  let (ref_flags, ref_wall, ref_evals) = grade Atpg.Fsim.Reference in
   if packed_flags <> ref_flags || event_flags <> ref_flags then begin
     Printf.eprintf
       "bench fsim: engines disagree on detection flags (replay with --seed %d)\n"
@@ -1006,11 +1008,6 @@ let atpg_row_key (a : Flow.atpg_row) =
    r.Atpg.Gen.r_detected, r.Atpg.Gen.r_untestable, r.Atpg.Gen.r_aborted,
    (r.Atpg.Gen.r_sat_detected, r.Atpg.Gen.r_sat_untestable,
     r.Atpg.Gen.r_tests, r.Atpg.Gen.r_outcomes))
-
-let timed f =
-  let t0 = Engine.Clock.now () in
-  let r = f () in
-  (r, Engine.Clock.now () -. t0)
 
 (* Serial vs parallel on the two workloads the engine accelerates — the
    MUT-parallel Table 6 flow and the fault-sharded simulator on the full
@@ -1359,11 +1356,6 @@ let with_conn addr f =
 let jfield name j =
   Option.value ~default:""
     (Option.bind (Obs.Json.member name j) Obs.Json.to_string_opt)
-
-let timed f =
-  let t0 = Engine.Clock.now () in
-  let r = f () in
-  (r, Engine.Clock.now () -. t0)
 
 (* Direct (no daemon) canonical lines for a corpus design, serial: the
    reference every daemon response is compared against byte for byte. *)

@@ -17,12 +17,6 @@ val to_string : Netlist.t -> t -> string
 val candidates :
   ?within:string -> rng:Random.State.t -> count:int -> Netlist.t -> t list
 
-(** [run_batch c ~order ~bridges ~observe test] simulates one test
-    against at most 63 bridges; flags align with [bridges]. *)
-val run_batch :
-  Netlist.t -> order:int array -> bridges:t list -> observe:Fsim.observe ->
-  Pattern.test -> bool list
-
 (** Percentage of the bridging population detected by a test set. *)
 val coverage :
   Netlist.t -> observe:Fsim.observe -> bridges:t list -> Pattern.test list ->

@@ -44,21 +44,6 @@ let default_observe = { ob_pos = true; ob_pier_ffs = [] }
 
 type engine_kind = Packed | Event | Reference
 
-let engine_kinds =
-  [ ("packed", Packed); ("event", Event); ("reference", Reference) ]
-
-let engine_kind_name = function
-  | Packed -> "packed"
-  | Event -> "event"
-  | Reference -> "reference"
-
-(* Process-global default, overridable per call with [?engine]; the CLI
-   [--fsim] flag sets this once at startup. *)
-let default_kind = ref Packed
-let set_engine k = default_kind := k
-let current_engine () = !default_kind
-let resolve engine = Option.value engine ~default:!default_kind
-
 (* ------------------------------------------------------------------ *)
 (* Metrics: each engine owns its own eval counter so a registry dump    *)
 (* (and BENCH_fsim's [metrics] section) is attributable per engine.     *)
@@ -102,90 +87,117 @@ let detected_mask (v : L.t) : int64 =
   | Some false -> Int64.logand v.L.hi (Int64.lognot 1L)
 
 (* ------------------------------------------------------------------ *)
-(* Reference engine: straight-line evaluation of every net.            *)
+(* Driving a test through {!Sim.Eval}: the one three-valued simulation  *)
+(* loop that the reference oracle, the event engine's good simulation   *)
+(* and the other fault models (transition, bridge, simgen) share.       *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-net fault injection overrides: (bit, stuck). *)
-let injection_table faults =
-  let table = Hashtbl.create 64 in
-  List.iteri
-    (fun i (f : Fault.t) ->
-      let bit = i + 1 in
-      let old = Option.value (Hashtbl.find_opt table f.f_net) ~default:[] in
-      Hashtbl.replace table f.f_net ((bit, f.f_stuck) :: old))
-    faults;
-  table
+let no_observe = { ob_pos = false; ob_pier_ffs = [] }
 
-let inject table net (v : L.t) : L.t =
-  match Hashtbl.find_opt table net with
-  | None -> v
-  | Some overrides ->
-    List.fold_left
-      (fun v (bit, stuck) -> L.set v bit (Some stuck))
-      v overrides
-
-(** [run_batch_reference c ~order ~faults ~observe test] simulates [test]
-    against at most 63 faults by evaluating every net on every frame;
-    returns a bool array aligned with [faults] marking the detected
-    ones.  The oracle the other engines are checked against. *)
-let run_batch_reference c ~order ~faults ~observe (test : Pattern.test) =
-  let nf = List.length faults in
-  assert (nf <= 63);
-  let table = injection_table faults in
-  let values = Array.make (N.num_nets c) L.x in
-  let state = Array.make (N.num_ffs c) L.x in
+(** [simulate ?hook ?passes ?on_frame sim ~observe test] applies [test]
+    to [sim]: flip-flops start at X except the PIER loads, each frame is
+    evaluated [passes] times (default 1) through [hook], [on_frame f]
+    runs once frame [f] has settled, the POs are observed every frame
+    and the PIER state after the last.  Returns the mask of columns
+    (other than 0) that differed from column 0 at an observation. *)
+let simulate ?hook ?(passes = 1) ?(on_frame = ignore) sim ~observe
+    (test : Pattern.test) =
+  let c = sim.Sim.Eval.circuit in
+  let values = sim.Sim.Eval.values and state = sim.Sim.Eval.state in
+  Sim.Eval.reset_state sim;
   List.iter
     (fun (ff, v) -> state.(ff) <- (if v then L.one else L.zero))
     test.Pattern.p_loads;
   let detected = ref 0L in
-  let eval pi_vec =
-    Array.iter
-      (fun net ->
-        let v =
-          match c.N.drv.(net) with
-          | N.Pi i -> if pi_vec.(i) then L.one else L.zero
-          | N.Ff i -> state.(i)
-          | N.C0 -> L.zero
-          | N.C1 -> L.one
-          | N.G1 (N.Inv, a) -> L.v_not values.(a)
-          | N.G1 (N.Buff, a) -> values.(a)
-          | N.G2 (N.And, a, b) -> L.v_and values.(a) values.(b)
-          | N.G2 (N.Or, a, b) -> L.v_or values.(a) values.(b)
-          | N.G2 (N.Xor, a, b) -> L.v_xor values.(a) values.(b)
-          | N.G2 (N.Nand, a, b) -> L.v_not (L.v_and values.(a) values.(b))
-          | N.G2 (N.Nor, a, b) -> L.v_not (L.v_or values.(a) values.(b))
-          | N.G2 (N.Xnor, a, b) -> L.v_not (L.v_xor values.(a) values.(b))
-          | N.Mux (s, a, b) -> L.v_mux values.(s) values.(a) values.(b)
-        in
-        values.(net) <- inject table net v)
-      order;
-    add_ref_evals (Array.length order)
-  in
   let frames = Array.length test.Pattern.p_vectors in
   for f = 0 to frames - 1 do
-    eval test.Pattern.p_vectors.(f);
+    let pis =
+      Array.map (fun b -> if b then L.one else L.zero)
+        test.Pattern.p_vectors.(f)
+    in
+    for _ = 1 to passes do
+      Sim.Eval.eval ?hook sim pis
+    done;
+    on_frame f;
     if observe.ob_pos then
       Array.iter
         (fun po -> detected := Int64.logor !detected (detected_mask values.(po)))
         c.N.pos;
-    (* capture next state *)
-    Array.iteri (fun i d -> state.(i) <- values.(d)) c.N.ff_d;
+    Sim.Eval.tick sim;
     if f = frames - 1 then
       List.iter
-        (fun ff ->
-          detected := Int64.logor !detected (detected_mask state.(ff)))
+        (fun ff -> detected := Int64.logor !detected (detected_mask state.(ff)))
         observe.ob_pier_ffs
   done;
-  List.mapi
-    (fun i _ ->
-      Int64.logand (Int64.shift_right_logical !detected (i + 1)) 1L = 1L)
-    faults
+  !detected
+
+(* Is column [k] set in [mask]? *)
+let column mask k = Int64.logand (Int64.shift_right_logical mask k) 1L = 1L
+
+(** [batch_coverage ~simulate_batch items tests] = percentage of [items]
+    detected by [tests], each test simulated against the items it has
+    not yet detected in batches of at most 63 (item [k] of a batch in
+    column [k + 1]). *)
+let batch_coverage ~simulate_batch items tests =
+  let items = Array.of_list items in
+  let n = Array.length items in
+  if n = 0 then 100.0
+  else begin
+    let detected = Array.make n false in
+    List.iter
+      (fun test ->
+        let rec batches = function
+          | [] -> ()
+          | l ->
+            let batch = List.filteri (fun k _ -> k < 63) l in
+            let mask =
+              simulate_batch (List.map (fun i -> items.(i)) batch) test
+            in
+            List.iteri
+              (fun k i -> if column mask (k + 1) then detected.(i) <- true)
+              batch;
+            batches (List.filteri (fun k _ -> k >= 63) l)
+        in
+        batches (List.filter (fun i -> not detected.(i)) (List.init n Fun.id)))
+      tests;
+    100.0
+    *. float_of_int
+         (Array.fold_left (fun a d -> if d then a + 1 else a) 0 detected)
+    /. float_of_int n
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Reference engine: straight-line evaluation of every net.            *)
+(* ------------------------------------------------------------------ *)
+
+(** [run_batch_reference c ~faults ~observe test] simulates [test]
+    against at most 63 faults by evaluating every net on every frame;
+    returns a bool list aligned with [faults] marking the detected
+    ones.  The oracle the other engines are checked against. *)
+let run_batch_reference c ~faults ~observe (test : Pattern.test) =
+  assert (List.length faults <= 63);
+  let sim = Sim.Eval.create c in
+  let hooked = Array.make (N.num_nets c) false in
+  let stuck = Hashtbl.create 64 in
+  List.iteri
+    (fun i (f : Fault.t) ->
+      hooked.(f.f_net) <- true;
+      Hashtbl.add stuck f.f_net (i + 1, f.f_stuck))
+    faults;
+  let at net v =
+    List.fold_left
+      (fun v (col, s) -> L.set v col (Some s))
+      v (Hashtbl.find_all stuck net)
+  in
+  let mask = simulate ~hook:{ Sim.Eval.hooked; at } sim ~observe test in
+  add_ref_evals
+    (Array.length test.Pattern.p_vectors * Array.length sim.Sim.Eval.order);
+  List.mapi (fun i _ -> column mask (i + 1)) faults
 
 (* One test against the faults selected by [active], in 63-fault
    reference batches; flags align with [active]. *)
 let run_test_reference ?(budget = Engine.Budget.none) c ~observe
     ~(faults : Fault.t array) ~(active : int array) test =
-  let order = (N.analysis c).A.order in
   let len = Array.length active in
   let flags = Array.make len false in
   let pos = ref 0 in
@@ -193,7 +205,7 @@ let run_test_reference ?(budget = Engine.Budget.none) c ~observe
     let k = min 63 (len - !pos) in
     let start = !pos in
     let batch = List.init k (fun i -> faults.(active.(start + i))) in
-    let res = run_batch_reference c ~order ~faults:batch ~observe test in
+    let res = run_batch_reference c ~faults:batch ~observe test in
     List.iteri (fun i hit -> if hit then flags.(start + i) <- true) res;
     pos := !pos + k
   done;
@@ -248,8 +260,7 @@ let rep b = if b = 1 then L.zero else if b = 2 then L.one else L.x
 type engine = {
   c : N.t;
   info : A.info;
-  values : L.t array;          (* good-simulation values *)
-  gstate : L.t array;          (* good-simulation flip-flop state *)
+  sim : Sim.Eval.t;            (* the good simulation *)
   fvals : L.t array;           (* faulty values, valid where dirty *)
   dirty : bool array;          (* net diverges from the good value *)
   queued : bool array;         (* net scheduled this frame *)
@@ -267,8 +278,7 @@ let make_engine c =
   let n = N.num_nets c in
   let nff = max 1 (N.num_ffs c) in
   { c; info;
-    values = Array.make n L.x;
-    gstate = Array.make nff L.x;
+    sim = Sim.Eval.create c;
     fvals = Array.make n L.x;
     dirty = Array.make n false;
     queued = Array.make n false;
@@ -290,41 +300,18 @@ let good_sim eng (test : Pattern.test) =
   let frames = Array.length test.Pattern.p_vectors in
   let go_vals = Array.init frames (fun _ -> Bytes.make n '\000') in
   let go_state = Array.init frames (fun _ -> Bytes.make (max 1 nff) '\000') in
-  let v = eng.values in
-  let state = eng.gstate in
-  Array.fill state 0 (Array.length state) L.x;
-  List.iter
-    (fun (ff, b) -> state.(ff) <- (if b then L.one else L.zero))
-    test.Pattern.p_loads;
-  for f = 0 to frames - 1 do
+  let sim = eng.sim in
+  (* after frame [f] settles the state still holds its starting value *)
+  let record f =
     for i = 0 to nff - 1 do
-      Bytes.set_uint8 go_state.(f) i (byte_of state.(i))
+      Bytes.set_uint8 go_state.(f) i (byte_of sim.Sim.Eval.state.(i))
     done;
-    let pi_vec = test.Pattern.p_vectors.(f) in
-    Array.iter
-      (fun net ->
-        v.(net) <-
-          (match c.N.drv.(net) with
-           | N.Pi i -> if pi_vec.(i) then L.one else L.zero
-           | N.Ff i -> state.(i)
-           | N.C0 -> L.zero
-           | N.C1 -> L.one
-           | N.G1 (N.Inv, a) -> L.v_not v.(a)
-           | N.G1 (N.Buff, a) -> v.(a)
-           | N.G2 (N.And, a, b) -> L.v_and v.(a) v.(b)
-           | N.G2 (N.Or, a, b) -> L.v_or v.(a) v.(b)
-           | N.G2 (N.Xor, a, b) -> L.v_xor v.(a) v.(b)
-           | N.G2 (N.Nand, a, b) -> L.v_not (L.v_and v.(a) v.(b))
-           | N.G2 (N.Nor, a, b) -> L.v_not (L.v_or v.(a) v.(b))
-           | N.G2 (N.Xnor, a, b) -> L.v_not (L.v_xor v.(a) v.(b))
-           | N.Mux (s, a, b) -> L.v_mux v.(s) v.(a) v.(b)))
-      eng.info.A.order;
-    add_evals (Array.length eng.info.A.order);
+    add_evals (Array.length sim.Sim.Eval.order);
     for net = 0 to n - 1 do
-      Bytes.set_uint8 go_vals.(f) net (byte_of v.(net))
-    done;
-    Array.iteri (fun i d -> state.(i) <- v.(d)) c.N.ff_d
-  done;
+      Bytes.set_uint8 go_vals.(f) net (byte_of sim.Sim.Eval.values.(net))
+    done
+  in
+  ignore (simulate sim ~observe:no_observe ~on_frame:record test : int64);
   { go_vals; go_state }
 
 (* Simulate one batch of at most 63 faults against the cached good
@@ -1020,9 +1007,9 @@ let run_sharded_packed ?(budget = Engine.Budget.none) ~jobs c ~observe
     packed default falls back to the event-driven parallel-fault engine
     (which already words 63 faults per evaluation); [~engine:Reference]
     forces the straight-line oracle. *)
-let run_test ?engine ?(budget = Engine.Budget.none) c ~observe ~faults
-    ~active test =
-  match resolve engine with
+let run_test ?(engine = Packed) ?(budget = Engine.Budget.none) c ~observe
+    ~faults ~active test =
+  match engine with
   | Reference -> run_test_reference ~budget c ~observe ~faults ~active test
   | Packed | Event -> run_test_event ~budget c ~observe ~faults ~active test
 
@@ -1032,11 +1019,10 @@ let run_test ?engine ?(budget = Engine.Budget.none) c ~observe ~faults
     immutable circuit and its [Netlist.Analysis] are shared.  Per-fault
     flags are independent, so the ordered merge is bit-identical to the
     serial run. *)
-let run_test_sharded ?engine ?(budget = Engine.Budget.none) ~jobs c
-    ~observe ~faults ~active test =
-  let kind = resolve engine in
-  if kind = Reference || jobs <= 1 || Array.length active < 128 then
-    run_test ~engine:kind ~budget c ~observe ~faults ~active test
+let run_test_sharded ?(engine = Packed) ?(budget = Engine.Budget.none) ~jobs
+    c ~observe ~faults ~active test =
+  if engine = Reference || jobs <= 1 || Array.length active < 128 then
+    run_test ~engine ~budget c ~observe ~faults ~active test
   else
     let pool = Engine.Pool.global () in
     let parts =
@@ -1050,8 +1036,9 @@ let run_test_sharded ?engine ?(budget = Engine.Budget.none) ~jobs c
 (** [run c ~observe ~faults tests] fault-simulates every test with fault
     dropping; returns per-fault detection flags aligned with [faults].
     All three engines produce bit-identical flags. *)
-let run ?engine ?(budget = Engine.Budget.none) c ~observe ~faults tests =
-  match resolve engine with
+let run ?(engine = Packed) ?(budget = Engine.Budget.none) c ~observe ~faults
+    tests =
+  match engine with
   | Packed -> run_packed ~budget c ~observe ~faults tests
   | Event -> run_event ~budget c ~observe ~faults tests
   | Reference -> run_reference ~budget c ~observe ~faults tests
@@ -1066,14 +1053,13 @@ let run ?engine ?(budget = Engine.Budget.none) c ~observe ~faults tests =
     to the serial {!run} for every [jobs].  Falls back to the serial
     engine for [jobs <= 1] or small fault lists; [~engine:Reference] is
     always serial. *)
-let run_sharded ?engine ?(budget = Engine.Budget.none) ~jobs c ~observe
-    ~faults tests =
-  let kind = resolve engine in
+let run_sharded ?(engine = Packed) ?(budget = Engine.Budget.none) ~jobs c
+    ~observe ~faults tests =
   let n = List.length faults in
   if jobs <= 1 || n < 128 then
-    run ~engine:kind ~budget c ~observe ~faults tests
+    run ~engine ~budget c ~observe ~faults tests
   else
-    match kind with
+    match engine with
     | Packed -> run_sharded_packed ~budget ~jobs c ~observe ~faults tests
     | Reference -> run_reference ~budget c ~observe ~faults tests
     | Event ->
@@ -1095,13 +1081,13 @@ let run_sharded ?engine ?(budget = Engine.Budget.none) ~jobs c ~observe
     simulation plus one event-driven sweep per fault per word —
     Compact's reverse-order replay and Diagnose's dictionary both read
     their answers straight out of this matrix. *)
-let run_matrix ?engine ?(budget = Engine.Budget.none) c ~observe
+let run_matrix ?(engine = Packed) ?(budget = Engine.Budget.none) c ~observe
     ~(faults : Fault.t array) ~(active : int array)
     (tests : Pattern.test array) =
   let nt = Array.length tests in
   let sigs = Array.init (Array.length active) (fun _ -> Bytes.make nt '\000') in
   (if Array.length active > 0 && nt > 0 then
-     match resolve engine with
+     match engine with
      | Packed ->
        let eng = make_pengine c in
        let pos = ref 0 in

@@ -31,29 +31,44 @@ val default_observe : observe
 
 (** {1 Engine selection} *)
 
+(** Every run entry point takes [?engine]; [Packed] is the default, the
+    others are differential oracles and baselines. *)
 type engine_kind = Packed | Event | Reference
 
-(** Name/constructor pairs, e.g. for a [Cmdliner.Arg.enum]. *)
-val engine_kinds : (string * engine_kind) list
+(** {1 Three-valued parallel-fault simulation}
 
-val engine_kind_name : engine_kind -> string
+    One {!Sim.Logic3} word per net: column 0 carries the good circuit,
+    columns 1..63 one faulty circuit each, injected through a
+    {!Sim.Eval.hook}.  The reference oracle below and the other fault
+    models ({!Transition}, {!Bridge}, {!Simgen}) all simulate this
+    way. *)
 
-(** Set the process-global default engine (the CLI [--fsim] flag);
-    every entry point also takes a per-call [?engine] override. *)
-val set_engine : engine_kind -> unit
+(** [simulate ?hook ?passes ?on_frame sim ~observe test] applies [test]
+    to [sim]: flip-flops start at X except the PIER loads, each frame is
+    evaluated [passes] times (default 1) through [hook], [on_frame f]
+    runs once frame [f] has settled (before the clock edge), the POs are
+    observed every frame and the PIER state after the last frame.
+    Returns the mask of columns (other than 0) that provably differed
+    from column 0 at an observation point. *)
+val simulate :
+  ?hook:Sim.Eval.hook -> ?passes:int -> ?on_frame:(int -> unit) ->
+  Sim.Eval.t -> observe:observe -> Pattern.test -> int64
 
-val current_engine : unit -> engine_kind
+(** [batch_coverage ~simulate_batch items tests] = percentage of [items]
+    detected by [tests].  Each test is simulated against the items it
+    has not yet detected, in batches of at most 63:
+    [simulate_batch batch test] must carry the [k]-th item of [batch] in
+    column [k + 1] and return the {!simulate} mask. *)
+val batch_coverage :
+  simulate_batch:('a list -> Pattern.test -> int64) -> 'a list ->
+  Pattern.test list -> float
 
-(** Columns (other than 0) whose value provably differs from the good
-    circuit in column 0 — exposed for other parallel-fault analyses. *)
-val detected_mask : Sim.Logic3.t -> int64
-
-(** [run_batch_reference c ~order ~faults ~observe test] simulates one
-    test against at most 63 faults by straight-line evaluation of every
-    net on every frame; the result aligns with [faults]. *)
+(** [run_batch_reference c ~faults ~observe test] simulates one test
+    against at most 63 stuck-at faults by straight-line evaluation of
+    every net on every frame; the result aligns with [faults]. *)
 val run_batch_reference :
-  Netlist.t -> order:int array -> faults:Fault.t list -> observe:observe ->
-  Pattern.test -> bool list
+  Netlist.t -> faults:Fault.t list -> observe:observe -> Pattern.test ->
+  bool list
 
 (** [run_test c ~observe ~faults ~active test] simulates one test against
     [faults.(i)] for each [i] in [active]; the result aligns with

@@ -9,7 +9,7 @@
     and the fault itself — never on tests found for other faults — so a
     sweep can generate candidates concurrently and apply the results in
     fault order, reproducing the serial run bit for bit (see {!config}
-    on [g_jobs] and [g_deterministic]). *)
+    on [g_jobs]). *)
 
 module N = Netlist
 
@@ -33,7 +33,6 @@ type config = {
   g_sat_conflicts : int;       (** SAT conflict limit per fault and depth *)
   g_seed : int;
   g_jobs : int;                (** 1 = serial; 0 = width of the global pool *)
-  g_deterministic : bool;      (** parallel runs reproduce the serial run *)
 }
 
 let default_config = {
@@ -51,7 +50,6 @@ let default_config = {
   g_sat_conflicts = 20_000;
   g_seed = 1;
   g_jobs = 1;
-  g_deterministic = true;
 }
 
 type outcome = Detected | Untestable | Aborted_fault | Budget_skipped
@@ -146,21 +144,13 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
     done;
     idx
   in
-  (* simulate [test] against the faults at [active]; mark hits Detected.
-     [use_pool:false] forces the serial simulator — mandatory when the
-     caller holds the eager-mode lock, because a pooled confirm awaits
-     shard tasks by helping, and helping could run another eager task
-     that takes the same lock. *)
-  let confirm_and_drop ?(use_pool = true) active test =
+  (* simulate [test] against the faults at [active]; mark hits Detected
+     (serial below two jobs) *)
+  let confirm_and_drop active test =
     if Array.length active > 0 then begin
       let flags =
-        match pool with
-        | Some _ when use_pool ->
-          Fsim.run_test_sharded ~jobs ~budget:run_tok c ~observe
-            ~faults:fault_arr ~active test
-        | _ ->
-          Fsim.run_test ~budget:run_tok c ~observe ~faults:fault_arr
-            ~active test
+        Fsim.run_test_sharded ~jobs ~budget:run_tok c ~observe
+          ~faults:fault_arr ~active test
       in
       Array.iteri
         (fun k i -> if flags.(k) then outcome.(i) <- Some Detected)
@@ -172,26 +162,21 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
 
      Serial: the textbook loop.
 
-     Parallel deterministic: candidates are selected in fault order in
-     rounds of [2*jobs], generated concurrently, and the results applied
-     strictly in fault order; a result whose fault was resolved by an
-     earlier application in the same round is discarded, exactly as the
-     serial loop would never have generated it.  Because generation
-     reads only immutable inputs, the applied sequence — and therefore
-     every outcome, test and statistic — matches the serial run bit for
-     bit whenever the time budgets do not bind.
-
-     Parallel eager: tasks claim faults first-come-first-served and
-     apply under a lock — more parallelism, no cross-run
-     reproducibility. *)
+     Parallel: candidates are selected in fault order in rounds of
+     [2*jobs], generated concurrently, and the results applied strictly
+     in fault order; a result whose fault was resolved by an earlier
+     application in the same round is discarded, exactly as the serial
+     loop would never have generated it.  Because generation reads only
+     immutable inputs, the applied sequence — and therefore every
+     outcome, test and statistic — matches the serial run bit for bit
+     whenever the time budgets do not bind. *)
   let sweep ~eligible ~generate ~apply =
     match pool with
     | None ->
       for i = 0 to n - 1 do
-        if eligible i && not (dead ()) then
-          apply ~use_pool:true i (generate i)
+        if eligible i && not (dead ()) then apply i (generate i)
       done
-    | Some pool when cfg.g_deterministic ->
+    | Some pool ->
       let chunk = 2 * jobs in
       let next = ref 0 in
       while !next < n do
@@ -219,31 +204,10 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
                counted budget-skipped) exactly like the serial loop *)
             if dead () then ignore (Engine.Pool.cancel fut : bool);
             match Engine.Pool.await fut with
-            | r -> if eligible i then apply ~use_pool:true i r
+            | r -> if eligible i then apply i r
             | exception Engine.Pool.Cancelled -> ())
           futs
       done
-    | Some pool ->
-      let lock = Mutex.create () in
-      let futs =
-        List.filter_map
-          (fun i ->
-            if eligible i then
-              Some
-                (Engine.Pool.submit pool (fun () ->
-                     let live =
-                       (not (dead ()))
-                       && Mutex.protect lock (fun () -> eligible i)
-                     in
-                     if live then begin
-                       let r = generate i in
-                       Mutex.protect lock (fun () ->
-                           if eligible i then apply ~use_pool:false i r)
-                     end))
-            else None)
-          (List.init n Fun.id)
-      in
-      List.iter Engine.Pool.await futs
   in
   (* -------- phase 1: random sequences until saturation ------------ *)
   Obs.Log.event Obs.Log.Info "atpg.phase"
@@ -278,12 +242,8 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
         if Array.length active > 0 then begin
           let sub = List.map (fun i -> fault_arr.(i)) (Array.to_list active) in
           let flags =
-            match pool with
-            | Some _ ->
-              Fsim.run_sharded ~jobs ~budget:run_tok c ~observe
-                ~faults:sub random_tests
-            | None ->
-              Fsim.run ~budget:run_tok c ~observe ~faults:sub random_tests
+            Fsim.run_sharded ~jobs ~budget:run_tok c ~observe ~faults:sub
+              random_tests
           in
           Array.iteri
             (fun k i -> if flags.(k) then outcome.(i) <- Some Detected)
@@ -377,24 +337,24 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
         (fun () -> podem_generate_body i)
     else podem_generate_body i
   in
-  let podem_apply ~use_pool i = function
+  let podem_apply i = function
     | Podem.Detected test ->
       tests := test :: !tests;
       (* confirm and drop: simulate against all remaining faults *)
-      confirm_and_drop ~use_pool (indices_where (fun o -> o = None)) test;
+      confirm_and_drop (indices_where (fun o -> o = None)) test;
       (* the targeted fault must at least be marked: PODEM guarantees
          detection under the same X-initial model the simulator uses *)
       if outcome.(i) = None then outcome.(i) <- Some Detected
     | Podem.Exhausted -> outcome.(i) <- Some Untestable
     | Podem.Aborted -> outcome.(i) <- Some Aborted_fault
   in
-  let sat_only_apply ~use_pool i (verdict, stats, dt) =
+  let sat_only_apply i (verdict, stats, dt) =
     account_sat stats dt;
     match verdict with
     | Sat.Satgen.Cube cube ->
       let test = cube_to_test cube in
       tests := test :: !tests;
-      confirm_and_drop ~use_pool (indices_where (fun o -> o = None)) test;
+      confirm_and_drop (indices_where (fun o -> o = None)) test;
       (* the cube's encoding mirrors the simulator's three-valued
          semantics, so detection is guaranteed *)
       if outcome.(i) = None then outcome.(i) <- Some Detected;
@@ -452,13 +412,13 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
             let r = sat_attempt i in
             Obs.Progress.step prog_rescue;
             r)
-          ~apply:(fun ~use_pool i (verdict, stats, dt) ->
+          ~apply:(fun i (verdict, stats, dt) ->
               account_sat stats dt;
               match verdict with
               | Sat.Satgen.Cube cube ->
                 let test = cube_to_test cube in
                 tests := test :: !tests;
-                confirm_and_drop ~use_pool
+                confirm_and_drop
                   (indices_where
                      (fun o -> o = None || o = Some Aborted_fault))
                   test;
@@ -502,12 +462,11 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
             in
             Obs.Progress.step prog_simgen;
             r)
-          ~apply:(fun ~use_pool i result ->
-              ignore i;
+          ~apply:(fun _ result ->
               match result with
               | Some test ->
                 tests := test :: !tests;
-                confirm_and_drop ~use_pool
+                confirm_and_drop
                   (indices_where
                      (fun o -> o = None || o = Some Aborted_fault))
                   test

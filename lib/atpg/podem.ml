@@ -97,59 +97,30 @@ let compute_controllable c cfg order pier_set =
   done;
   ctl
 
-(* SCOAP-like controllability costs per (frame, net), used to steer the
+(* SCOAP controllability costs per (frame, net), used to steer the
    backtrace toward the easiest (or, for all-inputs objectives, hardest)
    justification.  Frame-0 state is uncontrollable except for PIERs. *)
-let big = 100_000_000
+let big = Scoap.infinite
 
 let compute_costs c cfg order pier_set =
   let nets = N.num_nets c in
   let c0 = Array.make (cfg.frames * nets) big in
   let c1 = Array.make (cfg.frames * nets) big in
-  let seq_penalty = 20 in
-  let add a b = if a >= big || b >= big then big else a + b in
-  let bump a k = if a >= big then big else a + k in
   for f = 0 to cfg.frames - 1 do
+    let off = f * nets in
     Array.iter
       (fun net ->
-        let at0 i = c0.((f * nets) + i) and at1 i = c1.((f * nets) + i) in
         let (z, o) =
           match c.N.drv.(net) with
-          | N.Pi _ -> (1, 1)
-          | N.C0 -> (0, big)
-          | N.C1 -> (big, 0)
           | N.Ff i ->
             if f = 0 then if pier_set.(i) then (1, 1) else (big, big)
             else
-              let d = c.N.ff_d.(i) in
-              (bump c0.(((f - 1) * nets) + d) seq_penalty,
-               bump c1.(((f - 1) * nets) + d) seq_penalty)
-          | N.G1 (N.Inv, a) -> (bump (at1 a) 1, bump (at0 a) 1)
-          | N.G1 (N.Buff, a) -> (bump (at0 a) 1, bump (at1 a) 1)
-          | N.G2 (N.And, a, b) ->
-            (bump (min (at0 a) (at0 b)) 1, bump (add (at1 a) (at1 b)) 1)
-          | N.G2 (N.Nand, a, b) ->
-            (bump (add (at1 a) (at1 b)) 1, bump (min (at0 a) (at0 b)) 1)
-          | N.G2 (N.Or, a, b) ->
-            (bump (add (at0 a) (at0 b)) 1, bump (min (at1 a) (at1 b)) 1)
-          | N.G2 (N.Nor, a, b) ->
-            (bump (min (at1 a) (at1 b)) 1, bump (add (at0 a) (at0 b)) 1)
-          | N.G2 (N.Xor, a, b) ->
-            (bump (min (add (at0 a) (at0 b)) (add (at1 a) (at1 b))) 1,
-             bump (min (add (at0 a) (at1 b)) (add (at1 a) (at0 b))) 1)
-          | N.G2 (N.Xnor, a, b) ->
-            (bump (min (add (at0 a) (at1 b)) (add (at1 a) (at0 b))) 1,
-             bump (min (add (at0 a) (at0 b)) (add (at1 a) (at1 b))) 1)
-          | N.Mux (sel, a, b) ->
-            (bump
-               (min (add (at0 sel) (at0 a)) (add (at1 sel) (at0 b)))
-               1,
-             bump
-               (min (add (at0 sel) (at1 a)) (add (at1 sel) (at1 b)))
-               1)
+              let d = off - nets + c.N.ff_d.(i) in
+              (Scoap.cross_ff c0.(d), Scoap.cross_ff c1.(d))
+          | drv -> Scoap.gate_cc c0 c1 off drv
         in
-        c0.((f * nets) + net) <- z;
-        c1.((f * nets) + net) <- o)
+        c0.(off + net) <- z;
+        c1.(off + net) <- o)
       order
   done;
   (c0, c1)

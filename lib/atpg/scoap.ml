@@ -19,6 +19,40 @@ let bump a k = if a >= infinite then infinite else a + k
 
 let seq_penalty = 20
 
+(** The cost at a flip-flop's output, one cycle after its d input cost
+    [cost]. *)
+let cross_ff cost = bump cost seq_penalty
+
+(** [gate_cc cc0 cc1 off drv] = the (0, 1) controllability of a net
+    driven by [drv], anything but a flip-flop; fanin [a]'s costs are
+    [cc0.(off + a)] and [cc1.(off + a)]. *)
+let gate_cc cc0 cc1 off drv =
+  let at0 a = cc0.(off + a) and at1 a = cc1.(off + a) in
+  match drv with
+  | N.Pi _ -> (1, 1)
+  | N.C0 -> (0, infinite)
+  | N.C1 -> (infinite, 0)
+  | N.Ff _ -> invalid_arg "Scoap.gate_cc: flip-flop"
+  | N.G1 (N.Inv, a) -> (bump (at1 a) 1, bump (at0 a) 1)
+  | N.G1 (N.Buff, a) -> (bump (at0 a) 1, bump (at1 a) 1)
+  | N.G2 (N.And, a, b) ->
+    (bump (min (at0 a) (at0 b)) 1, bump (add (at1 a) (at1 b)) 1)
+  | N.G2 (N.Nand, a, b) ->
+    (bump (add (at1 a) (at1 b)) 1, bump (min (at0 a) (at0 b)) 1)
+  | N.G2 (N.Or, a, b) ->
+    (bump (add (at0 a) (at0 b)) 1, bump (min (at1 a) (at1 b)) 1)
+  | N.G2 (N.Nor, a, b) ->
+    (bump (min (at1 a) (at1 b)) 1, bump (add (at0 a) (at0 b)) 1)
+  | N.G2 (N.Xor, a, b) ->
+    (bump (min (add (at0 a) (at0 b)) (add (at1 a) (at1 b))) 1,
+     bump (min (add (at0 a) (at1 b)) (add (at1 a) (at0 b))) 1)
+  | N.G2 (N.Xnor, a, b) ->
+    (bump (min (add (at0 a) (at1 b)) (add (at1 a) (at0 b))) 1,
+     bump (min (add (at0 a) (at0 b)) (add (at1 a) (at1 b))) 1)
+  | N.Mux (s, a, b) ->
+    (bump (min (add (at0 s) (at0 a)) (add (at1 s) (at0 b))) 1,
+     bump (min (add (at0 s) (at1 a)) (add (at1 s) (at1 b))) 1)
+
 (* Controllability: forward fixpoint (flip-flops feed back). *)
 let controllability c order =
   let n = N.num_nets c in
@@ -29,31 +63,10 @@ let controllability c order =
       (fun net ->
         let (z, o) =
           match c.N.drv.(net) with
-          | N.Pi _ -> (1, 1)
-          | N.C0 -> (0, infinite)
-          | N.C1 -> (infinite, 0)
           | N.Ff i ->
             let d = c.N.ff_d.(i) in
-            (bump cc0.(d) seq_penalty, bump cc1.(d) seq_penalty)
-          | N.G1 (N.Inv, a) -> (bump cc1.(a) 1, bump cc0.(a) 1)
-          | N.G1 (N.Buff, a) -> (bump cc0.(a) 1, bump cc1.(a) 1)
-          | N.G2 (N.And, a, b) ->
-            (bump (min cc0.(a) cc0.(b)) 1, bump (add cc1.(a) cc1.(b)) 1)
-          | N.G2 (N.Nand, a, b) ->
-            (bump (add cc1.(a) cc1.(b)) 1, bump (min cc0.(a) cc0.(b)) 1)
-          | N.G2 (N.Or, a, b) ->
-            (bump (add cc0.(a) cc0.(b)) 1, bump (min cc1.(a) cc1.(b)) 1)
-          | N.G2 (N.Nor, a, b) ->
-            (bump (min cc1.(a) cc1.(b)) 1, bump (add cc0.(a) cc0.(b)) 1)
-          | N.G2 (N.Xor, a, b) ->
-            (bump (min (add cc0.(a) cc0.(b)) (add cc1.(a) cc1.(b))) 1,
-             bump (min (add cc0.(a) cc1.(b)) (add cc1.(a) cc0.(b))) 1)
-          | N.G2 (N.Xnor, a, b) ->
-            (bump (min (add cc0.(a) cc1.(b)) (add cc1.(a) cc0.(b))) 1,
-             bump (min (add cc0.(a) cc0.(b)) (add cc1.(a) cc1.(b))) 1)
-          | N.Mux (s, a, b) ->
-            (bump (min (add cc0.(s) cc0.(a)) (add cc1.(s) cc0.(b))) 1,
-             bump (min (add cc0.(s) cc1.(a)) (add cc1.(s) cc1.(b))) 1)
+            (cross_ff cc0.(d), cross_ff cc1.(d))
+          | drv -> gate_cc cc0 cc1 0 drv
         in
         if z < cc0.(net) then begin cc0.(net) <- z; changed := true end;
         if o < cc1.(net) then begin cc1.(net) <- o; changed := true end)

@@ -11,6 +11,18 @@ type t = {
   sc_co : int array;   (** per net: cost of observing it at a PO *)
 }
 
+(** The cost at a flip-flop's output, one cycle after its d input cost
+    the given amount (the sequential penalty). *)
+val cross_ff : int -> int
+
+(** [gate_cc cc0 cc1 off drv] = the (0, 1) controllability of a net
+    driven by [drv], anything but a flip-flop; fanin [a]'s costs are
+    [cc0.(off + a)] and [cc1.(off + a)], so a time-frame-expanded caller
+    can keep every frame in one array.  The one per-gate rule shared by
+    {!compute} and {!Podem}'s backtrace costs.
+    @raise Invalid_argument on a flip-flop driver. *)
+val gate_cc : int array -> int array -> int -> Netlist.driver -> int * int
+
 (** Run both analyses to their fixpoints. *)
 val compute : Netlist.t -> t
 

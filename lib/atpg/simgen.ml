@@ -25,71 +25,25 @@ let default_config =
     sg_piers = [];
     sg_seed = 1 }
 
-(* Fitness of a sequence against one fault: simulate good (bit 0) and
-   faulty (bit 1) machines together; score divergence, hugely rewarding
-   primary-output divergence (= detection). *)
-let fitness c order observe fault (test : Pattern.test) =
-  let values = Array.make (N.num_nets c) L.x in
-  let state = Array.make (N.num_ffs c) L.x in
-  List.iter
-    (fun (ff, v) -> state.(ff) <- (if v then L.one else L.zero))
-    test.Pattern.p_loads;
-  let site = fault.Fault.f_net in
-  let stuck = if fault.Fault.f_stuck then Some true else Some false in
+(* Fitness of a sequence against one fault: simulate good (column 0)
+   and faulty (column 1) machines together; score divergence, hugely
+   rewarding primary-output divergence (= detection).  [sim] and [hook]
+   are built once per fault and reused by every candidate. *)
+let fitness sim hook observe (test : Pattern.test) =
+  let values = sim.Sim.Eval.values in
   let score = ref 0 in
-  let detected = ref false in
-  let frames = Array.length test.Pattern.p_vectors in
-  for f = 0 to frames - 1 do
-    let pi_vec = test.Pattern.p_vectors.(f) in
-    Array.iter
-      (fun net ->
-        let v =
-          match c.N.drv.(net) with
-          | N.Pi i -> if pi_vec.(i) then L.one else L.zero
-          | N.Ff i -> state.(i)
-          | N.C0 -> L.zero
-          | N.C1 -> L.one
-          | N.G1 (N.Inv, a) -> L.v_not values.(a)
-          | N.G1 (N.Buff, a) -> values.(a)
-          | N.G2 (N.And, a, b) -> L.v_and values.(a) values.(b)
-          | N.G2 (N.Or, a, b) -> L.v_or values.(a) values.(b)
-          | N.G2 (N.Xor, a, b) -> L.v_xor values.(a) values.(b)
-          | N.G2 (N.Nand, a, b) -> L.v_not (L.v_and values.(a) values.(b))
-          | N.G2 (N.Nor, a, b) -> L.v_not (L.v_or values.(a) values.(b))
-          | N.G2 (N.Xnor, a, b) -> L.v_not (L.v_xor values.(a) values.(b))
-          | N.Mux (s, a, b) -> L.v_mux values.(s) values.(a) values.(b)
-        in
-        (* the faulty machine (pattern 1) sees the stuck value *)
-        values.(net) <- (if net = site then L.set v 1 stuck else v))
-      order;
-    (* divergence: nets where the good and faulty machines provably
-       differ *)
-    let divergent = ref 0 in
+  (* divergence: nets where the good and faulty machines provably
+     differ *)
+  let count_divergent _ =
     Array.iter
       (fun v ->
-        (* compare pattern 0 (good) against pattern 1 (faulty) *)
         match (L.get v 0, L.get v 1) with
-        | (Some a, Some b) when a <> b -> incr divergent
+        | (Some a, Some b) when a <> b -> incr score
         | _ -> ())
-      values;
-    score := !score + !divergent;
-    if observe.Fsim.ob_pos then
-      Array.iter
-        (fun po ->
-          match (L.get values.(po) 0, L.get values.(po) 1) with
-          | (Some a, Some b) when a <> b -> detected := true
-          | _ -> ())
-        c.N.pos;
-    Array.iteri (fun i d -> state.(i) <- values.(d)) c.N.ff_d;
-    if f = frames - 1 then
-      List.iter
-        (fun ff ->
-          match (L.get state.(ff) 0, L.get state.(ff) 1) with
-          | (Some a, Some b) when a <> b -> detected := true
-          | _ -> ())
-        observe.Fsim.ob_pier_ffs
-  done;
-  (!score, !detected)
+      values
+  in
+  let mask = Fsim.simulate ~hook ~on_frame:count_divergent sim ~observe test in
+  (!score, mask <> 0L)
 
 (* Mutate a sequence: flip some bits, occasionally extend by a frame. *)
 let mutate rng num_pis max_frames (t : Pattern.test) =
@@ -120,8 +74,15 @@ let mutate rng num_pis max_frames (t : Pattern.test) =
 (** [run c cfg fault] evolves a test for [fault]; [None] when the budget
     is exhausted without detection. *)
 let run c cfg fault =
-  let order = (N.analysis c).N.Analysis.order in
   let observe = { Fsim.ob_pos = true; ob_pier_ffs = cfg.sg_piers } in
+  let sim = Sim.Eval.create c in
+  (* the faulty machine (column 1) sees the stuck value at the site *)
+  let hook =
+    let hooked = Array.make (N.num_nets c) false in
+    hooked.(fault.Fault.f_net) <- true;
+    let stuck = Some fault.Fault.f_stuck in
+    { Sim.Eval.hooked; at = (fun _ v -> L.set v 1 stuck) }
+  in
   let rng = Random.State.make [| cfg.sg_seed; fault.Fault.f_net |] in
   let num_pis = N.num_pis c in
   let fresh () =
@@ -135,7 +96,7 @@ let run c cfg fault =
     let scored =
       List.map
         (fun t ->
-          let (score, detected) = fitness c order observe fault t in
+          let (score, detected) = fitness sim hook observe t in
           if detected && !result = None then result := Some t;
           (score, t))
         !pool

@@ -13,12 +13,6 @@ val to_string : Netlist.t -> t -> string
 (** Two faults per live site. *)
 val all : ?within:string -> Netlist.t -> t list
 
-(** [run_batch c ~order ~faults ~observe test]: at most 63 faults; flags
-    align with [faults]. *)
-val run_batch :
-  Netlist.t -> order:int array -> faults:t list -> observe:Fsim.observe ->
-  Pattern.test -> bool list
-
 (** Percentage of the transition faults detected by a test set. *)
 val coverage :
   Netlist.t -> observe:Fsim.observe -> faults:t list -> Pattern.test list ->

@@ -387,8 +387,7 @@ let check_jobs cfg budget rng ast ~top =
       g_total_budget = 1e9;
       g_simgen_fallback = false;
       g_sat_conflicts = 2000;
-      g_seed = Random.State.int rng 10000;
-      g_deterministic = true }
+      g_seed = Random.State.int rng 10000 }
   in
   let run jobs =
     let r = Atpg.Gen.run ~budget c { gcfg with g_jobs = jobs } faults in

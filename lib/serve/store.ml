@@ -1,7 +1,15 @@
 (** Flat-directory blob store with atomic writes and versioned Marshal
     headers.  See the mli for the failure contract. *)
 
-type t = { st_dir : string }
+(* [st_entries] / [st_bytes] mirror what {!stats} would scan: counted
+   once at {!open_}, then adjusted by each write or removal under
+   [st_lock] — a write never rescans the directory. *)
+type t = {
+  st_dir : string;
+  st_lock : Mutex.t;
+  mutable st_entries : int;
+  mutable st_bytes : int;
+}
 
 let dir t = t.st_dir
 
@@ -42,15 +50,38 @@ let stats t =
       (0, 0) files
 
 let publish_stats t =
-  let (n, b) = stats t in
-  Obs.Metrics.set g_entries (float_of_int n);
-  Obs.Metrics.set g_bytes (float_of_int b)
+  Obs.Metrics.set g_entries (float_of_int t.st_entries);
+  Obs.Metrics.set g_bytes (float_of_int t.st_bytes)
+
+(* Size of the entry at [path] if one exists. *)
+let entry_size path =
+  match Unix.stat path with
+  | { Unix.st_kind = Unix.S_REG; st_size; _ } -> Some st_size
+  | _ | (exception Unix.Unix_error _) -> None
+
+(* Run [change] (which writes or removes the entry at [path]) and
+   account for the entry's size before and after. *)
+let adjust t path change =
+  Mutex.protect t.st_lock (fun () ->
+      let before = entry_size path in
+      Fun.protect change ~finally:(fun () ->
+          let after = entry_size path in
+          let count = function None -> 0 | Some _ -> 1 in
+          let size = Option.value ~default:0 in
+          t.st_entries <- t.st_entries + count after - count before;
+          t.st_bytes <- t.st_bytes + size after - size before;
+          publish_stats t))
 
 let open_ d =
   mkdir_p d;
   if not (Sys.is_directory d) then
     raise (Sys_error (d ^ ": not a directory"));
-  let t = { st_dir = d } in
+  let t =
+    { st_dir = d; st_lock = Mutex.create (); st_entries = 0; st_bytes = 0 }
+  in
+  let (n, b) = stats t in
+  t.st_entries <- n;
+  t.st_bytes <- b;
   publish_stats t;
   t
 
@@ -72,20 +103,15 @@ let put t ~key s =
   let tmp =
     Filename.temp_file ~temp_dir:t.st_dir ("." ^ key) ".tmp"
   in
-  let ok =
-    try
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc s);
-      Sys.rename tmp final;
-      true
-    with e ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise e
-  in
-  ignore (ok : bool);
-  publish_stats t
+  try
+    let oc = open_out_bin tmp in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () -> output_string oc s);
+    adjust t final (fun () -> Sys.rename tmp final)
+  with e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
 
 let get t ~key =
   let p = path t key in
@@ -112,7 +138,5 @@ let get_value t ~key =
     else (try Some (Marshal.from_string s hl) with _ -> None)
 
 let remove t ~key =
-  (match Sys.remove (path t key) with
-   | () -> ()
-   | exception Sys_error _ -> ());
-  publish_stats t
+  let p = path t key in
+  adjust t p (fun () -> try Sys.remove p with Sys_error _ -> ())

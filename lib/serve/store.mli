@@ -41,8 +41,9 @@ val get_value : t -> key:string -> 'a option
 val remove : t -> key:string -> unit
 
 (** [(entries, bytes)] currently on disk — regular files only,
-    in-flight temp files excluded.  Also published as the
-    [factor.serve.store_entries] / [factor.serve.store_bytes] gauges on
-    {!open_} and after every write or removal, so the otherwise
-    grow-only store is visible on the [metrics] op. *)
+    in-flight temp files excluded — by a full directory scan.  The
+    [factor.serve.store_entries] / [factor.serve.store_bytes] gauges
+    carry the same figures on the [metrics] op: {!open_} scans once,
+    then every write or removal adjusts them by the one entry it
+    touched. *)
 val stats : t -> int * int

@@ -9,7 +9,14 @@ type t = {
   circuit : N.t;
   order : int array;            (** topological evaluation order *)
   values : L.t array;           (** per net *)
-  mutable state : L.t array;    (** per flip-flop *)
+  state : L.t array;            (** per flip-flop *)
+}
+
+(* A per-net injection hook: [at net v] receives the value just computed
+   for a net flagged in [hooked] and returns the value the net takes. *)
+type hook = {
+  hooked : bool array;
+  at : int -> L.t -> L.t;
 }
 
 (** [create c] builds a simulator with all flip-flops initialized to X. *)
@@ -19,34 +26,46 @@ let create circuit =
     values = Array.make (N.num_nets circuit) L.x;
     state = Array.make (N.num_ffs circuit) L.x }
 
-let reset_state sim = sim.state <- Array.make (N.num_ffs sim.circuit) L.x
+let reset_state sim = Array.fill sim.state 0 (Array.length sim.state) L.x
 
 (** Force every flip-flop to zero (reference-model comparisons). *)
-let zero_state sim = sim.state <- Array.make (N.num_ffs sim.circuit) L.zero
+let zero_state sim = Array.fill sim.state 0 (Array.length sim.state) L.zero
+
+(* The three-valued gate rule: a net's value from its fanins' values. *)
+let[@inline] gate sim (pi_values : L.t array) net =
+  let v = sim.values in
+  match sim.circuit.N.drv.(net) with
+  | N.Pi i -> pi_values.(i)
+  | N.Ff i -> sim.state.(i)
+  | N.C0 -> L.zero
+  | N.C1 -> L.one
+  | N.G1 (N.Inv, a) -> L.v_not v.(a)
+  | N.G1 (N.Buff, a) -> v.(a)
+  | N.G2 (N.And, a, b) -> L.v_and v.(a) v.(b)
+  | N.G2 (N.Or, a, b) -> L.v_or v.(a) v.(b)
+  | N.G2 (N.Xor, a, b) -> L.v_xor v.(a) v.(b)
+  | N.G2 (N.Nand, a, b) -> L.v_not (L.v_and v.(a) v.(b))
+  | N.G2 (N.Nor, a, b) -> L.v_not (L.v_or v.(a) v.(b))
+  | N.G2 (N.Xnor, a, b) -> L.v_not (L.v_xor v.(a) v.(b))
+  | N.Mux (s, a, b) -> L.v_mux v.(s) v.(a) v.(b)
 
 (** Evaluate combinational logic for the given PI values (one [L.t] per
-    primary input, 64 patterns wide). *)
-let eval sim (pi_values : L.t array) =
-  let c = sim.circuit in
-  let v = sim.values in
-  Array.iter
-    (fun net ->
-      v.(net) <-
-        (match c.drv.(net) with
-         | N.Pi i -> pi_values.(i)
-         | N.Ff i -> sim.state.(i)
-         | N.C0 -> L.zero
-         | N.C1 -> L.one
-         | N.G1 (N.Inv, a) -> L.v_not v.(a)
-         | N.G1 (N.Buff, a) -> v.(a)
-         | N.G2 (N.And, a, b) -> L.v_and v.(a) v.(b)
-         | N.G2 (N.Or, a, b) -> L.v_or v.(a) v.(b)
-         | N.G2 (N.Xor, a, b) -> L.v_xor v.(a) v.(b)
-         | N.G2 (N.Nand, a, b) -> L.v_not (L.v_and v.(a) v.(b))
-         | N.G2 (N.Nor, a, b) -> L.v_not (L.v_or v.(a) v.(b))
-         | N.G2 (N.Xnor, a, b) -> L.v_not (L.v_xor v.(a) v.(b))
-         | N.Mux (s, a, b) -> L.v_mux v.(s) v.(a) v.(b)))
-    sim.order
+    primary input, 64 patterns wide), passing every hooked net's value
+    through the hook. *)
+let eval ?hook sim (pi_values : L.t array) =
+  let order = sim.order and v = sim.values in
+  match hook with
+  | None ->
+    for k = 0 to Array.length order - 1 do
+      let net = order.(k) in
+      v.(net) <- gate sim pi_values net
+    done
+  | Some h ->
+    for k = 0 to Array.length order - 1 do
+      let net = order.(k) in
+      let x = gate sim pi_values net in
+      v.(net) <- (if h.hooked.(net) then h.at net x else x)
+    done
 
 (** Current value of a net (after [eval]). *)
 let value sim net = sim.values.(net)
@@ -54,10 +73,10 @@ let value sim net = sim.values.(net)
 (** Values observed at the primary outputs. *)
 let outputs sim = Array.map (fun net -> sim.values.(net)) sim.circuit.N.pos
 
-(** Advance one clock cycle: capture every flip-flop's d input. *)
+(** Advance one clock cycle in place: capture every flip-flop's d
+    input. *)
 let tick sim =
-  let c = sim.circuit in
-  sim.state <- Array.map (fun d -> sim.values.(d)) c.N.ff_d
+  Array.iteri (fun i d -> sim.state.(i) <- sim.values.(d)) sim.circuit.N.ff_d
 
 (** Apply one input vector and advance the clock; returns the PO values
     seen before the clock edge. *)

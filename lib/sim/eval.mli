@@ -5,7 +5,16 @@ type t = {
   circuit : Netlist.t;
   order : int array;
   values : Logic3.t array;
-  mutable state : Logic3.t array;
+  state : Logic3.t array;
+}
+
+(** A per-net injection hook: after computing the value of a net with
+    [hooked.(net)] set, {!eval} stores [at net v] instead of [v].  Fault
+    models inject this way — a stuck column, a stale value, a wired
+    combination with another net. *)
+type hook = {
+  hooked : bool array;
+  at : int -> Logic3.t -> Logic3.t;
 }
 
 (** [create c] builds a simulator with all flip-flops at X. *)
@@ -17,8 +26,9 @@ val reset_state : t -> unit
 (** Force every flip-flop to zero (reference-model comparisons). *)
 val zero_state : t -> unit
 
-(** Evaluate combinational logic for the given per-PI values. *)
-val eval : t -> Logic3.t array -> unit
+(** Evaluate combinational logic for the given per-PI values, passing
+    each hooked net through [hook]. *)
+val eval : ?hook:hook -> t -> Logic3.t array -> unit
 
 (** Value of a net after {!eval}. *)
 val value : t -> int -> Logic3.t
@@ -26,7 +36,8 @@ val value : t -> int -> Logic3.t
 (** Values at the primary outputs after {!eval}. *)
 val outputs : t -> Logic3.t array
 
-(** Advance one clock cycle: capture every flip-flop's d input. *)
+(** Advance one clock cycle in place: capture every flip-flop's d
+    input. *)
 val tick : t -> unit
 
 (** [step sim pis] = {!eval}, read outputs, {!tick}. *)

@@ -758,6 +758,83 @@ let simgen_tests =
          | Some t -> check_bool "long test" true (Atpg.Pattern.num_frames t >= 6)
          | None -> Alcotest.fail "should detect within the budget")) ]
 
+(* ------------------------------------------------------------------ *)
+(* Golden results of the three-valued parallel-fault simulators.        *)
+(* ------------------------------------------------------------------ *)
+
+(* A sequential corpus design with PIERs, seeded multi-frame tests, and
+   the per-fault flags of the stuck-at reference oracle, the transition
+   and the bridging fault models, plus the exact tests Simgen's campaign
+   returns — all pinned, so any rewrite of the simulation underneath
+   them must reproduce them bit for bit.  A flag string is '1' for a
+   detected fault, in fault order. *)
+let golden_setup () =
+  let e = Circuits.Collection.gcd in
+  let c = circuit ~top:e.Circuits.Collection.e_top e.Circuits.Collection.e_source in
+  let piers = Factor.Pier.identify c in
+  let observe = { Atpg.Fsim.ob_pos = true; ob_pier_ffs = piers } in
+  let rng = Random.State.make [| 2002 |] in
+  let tests =
+    List.init 3 (fun _ ->
+        Atpg.Pattern.random ~rng ~num_pis:(N.num_pis c) ~frames:3 ~piers)
+  in
+  (c, piers, observe, tests)
+
+let flag_string flags =
+  String.concat "" (List.map (fun b -> if b then "1" else "0") flags)
+
+let check_golden what ~count ~digest s =
+  check_int (what ^ " detected") count
+    (String.fold_left (fun n ch -> if ch = '1' then n + 1 else n) 0 s);
+  check_string (what ^ " digest") digest (Digest.to_hex (Digest.string s))
+
+let golden_tests =
+  [ test "reference stuck-at flags" (fun () ->
+        let (c, piers, observe, tests) = golden_setup () in
+        check_bool "the design has PIERs" true (piers <> []);
+        let faults = F.all c in
+        let flags =
+          Atpg.Fsim.run ~engine:Atpg.Fsim.Reference c ~observe ~faults tests
+        in
+        check_golden "stuck-at" ~count:359
+          ~digest:"4a95aa848a2027edb3d7da895892d2f4"
+          (flag_string (Array.to_list flags)));
+    test "transition flags" (fun () ->
+        let (c, _, observe, tests) = golden_setup () in
+        let flags =
+          List.map
+            (fun f ->
+              Atpg.Transition.coverage c ~observe ~faults:[ f ] tests = 100.0)
+            (Atpg.Transition.all c)
+        in
+        check_golden "transition" ~count:213
+          ~digest:"3995ddac8d2a9d3443abab61e0df6d53" (flag_string flags));
+    test "bridge flags" (fun () ->
+        let (c, _, observe, tests) = golden_setup () in
+        let rng = Random.State.make [| 5 |] in
+        let bridges = Atpg.Bridge.candidates ~rng ~count:120 c in
+        let flags =
+          List.map
+            (fun b ->
+              Atpg.Bridge.coverage c ~observe ~bridges:[ b ] tests = 100.0)
+            bridges
+        in
+        check_golden "bridge" ~count:74
+          ~digest:"61c9df6616687b7e7817aee1073df0a9" (flag_string flags));
+    test "simgen campaign tests" (fun () ->
+        let (c, piers, _, _) = golden_setup () in
+        let faults = F.collapse c (F.all c) in
+        let r =
+          Atpg.Simgen.campaign c
+            { Atpg.Simgen.default_config with sg_piers = piers; sg_seed = 7 }
+            faults
+        in
+        check_int "detected" 562 r.Atpg.Simgen.sr_detected;
+        check_string "tests digest" "e838194a7407c73190364c2e1d2a0d4d"
+          (Digest.to_hex
+             (Digest.string (Atpg.Pattern.write_string r.Atpg.Simgen.sr_tests))))
+  ]
+
 let () =
   Alcotest.run "atpg"
     [ ("fault", fault_tests);
@@ -770,4 +847,5 @@ let () =
       ("vectors", vector_file_tests);
       ("bridge", bridge_tests);
       ("transition", transition_tests);
-      ("simgen", simgen_tests) ]
+      ("simgen", simgen_tests);
+      ("golden", golden_tests) ]

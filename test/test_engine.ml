@@ -218,27 +218,6 @@ let gen_parallel_deterministic () =
   check_bool "Sat_only parallel reproduces serial" true
     (gen_key sat_par = gen_key sat_serial)
 
-let gen_eager_mode_sound () =
-  let c = circuit ~top:"top" seq_src in
-  let faults = Atpg.Fault.collapse c (Atpg.Fault.all c) in
-  Pool.set_jobs 4;
-  let serial = Atpg.Gen.run c { det_cfg with Atpg.Gen.g_jobs = 1 } faults in
-  (* eager mode gives up reproducibility, not correctness: every fault
-     still gets a final outcome and effectiveness must match the serial
-     run on a circuit with no budget pressure *)
-  let eager =
-    Atpg.Gen.run c
-      { det_cfg with Atpg.Gen.g_jobs = 4; g_deterministic = false }
-      faults
-  in
-  check_int "every fault classified" eager.Atpg.Gen.r_total
-    (eager.Atpg.Gen.r_detected + eager.Atpg.Gen.r_untestable
-     + eager.Atpg.Gen.r_aborted);
-  check_bool "eager effectiveness matches serial" true
-    (abs_float
-       (eager.Atpg.Gen.r_effectiveness -. serial.Atpg.Gen.r_effectiveness)
-     < 1e-9)
-
 (* The Table 5/6 shape: extract, transform, then MUT-parallel test
    generation over the rows — report fields (timings excluded) must be
    byte-identical at every job count. *)
@@ -625,7 +604,6 @@ let () =
         [
           test "sharded fsim = serial fsim" fsim_sharded_matches_serial;
           test "parallel atpg = serial atpg" gen_parallel_deterministic;
-          test "eager mode is sound" gen_eager_mode_sound;
           test "mut-parallel flow = serial flow" flow_parallel_deterministic;
         ] );
       ( "isolation",

@@ -32,7 +32,6 @@ let gates_match_interpreter gm =
 (* Detection flags with per-test fault dropping via the straight-line
    reference engine — the oracle both production engines must match. *)
 let reference_flags circuit ~observe ~faults tests =
-  let order = (Netlist.analysis circuit).Netlist.Analysis.order in
   let fault_arr = Array.of_list faults in
   let n = Array.length fault_arr in
   let ref_flags = Array.make n false in
@@ -53,7 +52,7 @@ let reference_flags circuit ~observe ~faults tests =
           in
           let (batch, rest) = take 63 l in
           let flags =
-            Atpg.Fsim.run_batch_reference circuit ~order
+            Atpg.Fsim.run_batch_reference circuit
               ~faults:(List.map (fun i -> fault_arr.(i)) batch)
               ~observe test
           in

@@ -215,6 +215,43 @@ let store_roundtrip () =
      | exception Invalid_argument _ -> true
      | () -> false)
 
+(* The gauges are kept by increments after the opening scan; after puts,
+   overwrites (larger and smaller) and removals, including a removal of
+   an absent key, they must still equal a full scan. *)
+let store_gauges_track_scan () =
+  let dir = tmpdir "factor-store" in
+  let pre = Serve.Store.open_ dir in
+  Serve.Store.put pre ~key:"old" "from a previous run";
+  let s = Serve.Store.open_ dir in
+  let gauges () =
+    ( int_of_float
+        (Obs.Metrics.get (Obs.Metrics.gauge "factor.serve.store_entries")),
+      int_of_float
+        (Obs.Metrics.get (Obs.Metrics.gauge "factor.serve.store_bytes")) )
+  in
+  let agree what =
+    let (e, b) = Serve.Store.stats s and (ge, gb) = gauges () in
+    check_int (what ^ ": entries") e ge;
+    check_int (what ^ ": bytes") b gb
+  in
+  agree "open";
+  Serve.Store.put s ~key:"a" "aaaa";
+  Serve.Store.put s ~key:"b" "bb";
+  agree "puts";
+  Serve.Store.put s ~key:"a" (String.make 100 'x');
+  agree "growing overwrite";
+  Serve.Store.put s ~key:"a" "";
+  agree "shrinking overwrite";
+  Serve.Store.put_value s ~key:"v" [ 1; 2; 3 ];
+  Serve.Store.remove s ~key:"b";
+  Serve.Store.remove s ~key:"absent";
+  agree "removes";
+  Serve.Store.remove s ~key:"old";
+  Serve.Store.remove s ~key:"a";
+  Serve.Store.remove s ~key:"v";
+  agree "empty";
+  check_bool "empty store" true (Serve.Store.stats s = (0, 0))
+
 (* ------------------------------------------------------------------ *)
 (* Fingerprints.                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -805,7 +842,9 @@ let () =
           test "snapshot/diff is reset-free" metrics_snapshot_diff;
           test "prometheus dump sanitizes names" metrics_prometheus;
         ] );
-      ( "store", [ test "roundtrip, corruption, unsafe keys" store_roundtrip ] );
+      ( "store",
+        [ test "roundtrip, corruption, unsafe keys" store_roundtrip;
+          test "gauges track a full scan" store_gauges_track_scan ] );
       ( "fingerprint",
         [ test "alias vs chain invariance" fingerprint_invariance ] );
       ( "cache",

@@ -167,7 +167,29 @@ let sim_tests =
         Sim.Eval.tick sim;
         Sim.Eval.reset_state sim;
         Sim.Eval.eval sim (Sim.Eval.pi_of_ports c [ ("d", 3) ]);
-        check_bool "q is X again" true (Sim.Eval.po_as_int sim "q" = None)) ]
+        check_bool "q is X again" true (Sim.Eval.po_as_int sim "q" = None));
+    test "hook overrides only hooked nets, and the fanout sees it" (fun () ->
+        let c =
+          circuit
+            {|module top (input a, b, output y, z);
+              assign y = !(a & b); assign z = a; endmodule|}
+        in
+        let sim = Sim.Eval.create c in
+        let a = c.Netlist.pis.(0) in
+        let hooked = Array.make (Netlist.num_nets c) false in
+        hooked.(a) <- true;
+        let calls = ref [] in
+        (* column 1 sees a stuck at 0 *)
+        let at net v =
+          calls := net :: !calls;
+          L.set v 1 (Some false)
+        in
+        Sim.Eval.eval ~hook:{ Sim.Eval.hooked; at } sim [| L.one; L.one |];
+        check_bool "called once, at the hooked net" true (!calls = [ a ]);
+        let y = (Sim.Eval.outputs sim).(0) and z = (Sim.Eval.outputs sim).(1) in
+        check_bool "good column unchanged" true (L.get y 0 = Some false);
+        check_bool "faulty column propagates" true (L.get y 1 = Some true);
+        check_bool "other columns unchanged" true (L.get z 2 = Some true)) ]
 
 (* ------------------------------------------------------------------ *)
 (* VCD dump.                                                            *)
