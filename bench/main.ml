@@ -447,10 +447,10 @@ let ablation_random_phase () =
             [ spec.Flow.ms_name;
               Printf.sprintf "%s / %s"
                 (T.fpct with_random.Atpg.Gen.r_coverage)
-                (T.fsec with_random.Atpg.Gen.r_time);
+                (T.fsec with_random.Atpg.Gen.r_wall);
               Printf.sprintf "%s / %s"
                 (T.fpct without.Atpg.Gen.r_coverage)
-                (T.fsec without.Atpg.Gen.r_time) ]
+                (T.fsec without.Atpg.Gen.r_wall) ]
         end)
       txs
   in
@@ -544,7 +544,7 @@ let ablation_engines () =
           Some
             [ spec.Flow.ms_name;
               Printf.sprintf "%s / %s" (T.fpct podem.Atpg.Gen.r_coverage)
-                (T.fsec podem.Atpg.Gen.r_time);
+                (T.fsec podem.Atpg.Gen.r_wall);
               Printf.sprintf "%s / %s"
                 (T.fpct simulation.Atpg.Simgen.sr_coverage)
                 (T.fsec simulation.Atpg.Simgen.sr_time) ]
@@ -1061,7 +1061,7 @@ let bench_par () =
     timed (fun () -> Atpg.Fsim.run c ~observe ~faults tests)
   in
   let (par_flags, fsim_par) =
-    timed (fun () -> Atpg.Fsim.run_sharded ~jobs c ~observe ~faults tests)
+    timed (fun () -> Atpg.Fsim.run ~jobs c ~observe ~faults tests)
   in
   if serial_flags <> par_flags then begin
     Printf.eprintf
@@ -1161,7 +1161,7 @@ let bench_par_smoke () =
   in
   let observe = Atpg.Fsim.default_observe in
   let serial = Atpg.Fsim.run c ~observe ~faults tests in
-  let sharded = Atpg.Fsim.run_sharded ~jobs:4 c ~observe ~faults tests in
+  let sharded = Atpg.Fsim.run ~jobs:4 c ~observe ~faults tests in
   if serial <> sharded then begin
     Printf.eprintf
       "par smoke: sharded fsim differs from serial on arm_alu (seed %d)\n"

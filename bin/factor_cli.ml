@@ -404,9 +404,8 @@ let atpg_cmd =
            response can be compared byte for byte; timing is appended
            here, outside the canonical part *)
         print_endline (Serve.Render.atpg_counts r);
-        Printf.printf "%s | %.2f s wall (%.2f s cpu, %d jobs)\n"
-          (Serve.Render.atpg_quality r)
-          r.Atpg.Gen.r_wall r.Atpg.Gen.r_time jobs;
+        Printf.printf "%s | %.2f s wall (%d jobs)\n"
+          (Serve.Render.atpg_quality r) r.Atpg.Gen.r_wall jobs;
         if engine <> Atpg.Gen.Podem_only then
           Printf.printf
             "sat engine: %d detected, %d proven untestable, %.2f s | %s\n"
@@ -558,7 +557,7 @@ let grade_cmd =
           { Atpg.Fsim.ob_pos = true;
             ob_pier_ffs = (if use_piers then Factor.Pier.identify c else []) }
         in
-        let flags = Atpg.Fsim.run_sharded ~jobs c ~observe ~faults tests in
+        let flags = Atpg.Fsim.run ~jobs c ~observe ~faults tests in
         let detected =
           Array.to_list flags |> List.filter Fun.id |> List.length
         in
@@ -594,26 +593,8 @@ let demo_cmd =
           List.map
             (fun spec ->
               Obs.Log.verbosef "demo: extracting %s" spec.Factor.Flow.ms_name;
-              let stats =
-                Factor.Compose.compositional session env
-                  ~mut_path:spec.Factor.Flow.ms_path
-              in
-              let tf =
-                Factor.Transform.build env stats.Factor.Compose.cs_slice
-                  ~mut_path:spec.Factor.Flow.ms_path
-              in
-              { Factor.Flow.tr_name = spec.Factor.Flow.ms_name;
-                tr_standalone_faults =
-                  Factor.Flow.standalone_fault_count env spec;
-                tr_extraction_time = stats.Factor.Compose.cs_extraction_time;
-                tr_synthesis_time = tf.Factor.Transform.tf_synthesis_time;
-                tr_surrounding_gates = tf.Factor.Transform.tf_surrounding_gates;
-                tr_reduction_pct = 0.0;
-                tr_pi_bits = tf.Factor.Transform.tf_pi_bits;
-                tr_po_bits = tf.Factor.Transform.tf_po_bits;
-                tr_cache_hits = stats.Factor.Compose.cs_cache_hits;
-                tr_stats = stats;
-                tr_transformed = tf })
+              Factor.Flow.transform env session Factor.Flow.Compositional
+                spec ~surrounding_before:0)
             Arm.Rtl.muts
         in
         let run_budget =

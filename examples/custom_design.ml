@@ -115,9 +115,9 @@ let () =
   let transformed = Atpg.Gen.run c { cfg with g_piers = piers } tf_faults in
 
   Printf.printf "ATPG at soc level:          %5.1f%% coverage, %5.2f s\n"
-    raw.Atpg.Gen.r_coverage raw.Atpg.Gen.r_time;
+    raw.Atpg.Gen.r_coverage raw.Atpg.Gen.r_wall;
   Printf.printf "ATPG on transformed module: %5.1f%% coverage, %5.2f s\n"
-    transformed.Atpg.Gen.r_coverage transformed.Atpg.Gen.r_time;
+    transformed.Atpg.Gen.r_coverage transformed.Atpg.Gen.r_wall;
 
   (* testability: the divisor is a real data input, nothing is flagged *)
   let findings = Factor.Testability.hard_coded_inputs env ~mut_path:"u_uart.u_baud" in

@@ -65,7 +65,7 @@ let () =
   Printf.printf
     "5. ATPG: %d faults, %.1f%% coverage, %d test vectors, %.2f s\n"
     r.Atpg.Gen.r_total r.Atpg.Gen.r_coverage r.Atpg.Gen.r_vectors
-    r.Atpg.Gen.r_time;
+    r.Atpg.Gen.r_wall;
 
   (* 6. print one generated test *)
   (match r.Atpg.Gen.r_tests with

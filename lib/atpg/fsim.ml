@@ -213,10 +213,9 @@ let run_test_reference ?(budget = Engine.Budget.none) c ~observe
 
 (* Multi-test reference run with per-test fault dropping — the dropping
    semantics every engine shares. *)
-let run_reference ?(budget = Engine.Budget.none) c ~observe ~faults
-    tests =
-  let fault_arr = Array.of_list faults in
-  let n = Array.length fault_arr in
+let run_reference ?(budget = Engine.Budget.none) c ~observe
+    ~(faults : Fault.t array) tests =
+  let n = Array.length faults in
   let detected = Array.make n false in
   List.iter
     (fun test ->
@@ -228,8 +227,7 @@ let run_reference ?(budget = Engine.Budget.none) c ~observe ~faults
       in
       if Array.length active > 0 then begin
         let flags =
-          run_test_reference ~budget c ~observe ~faults:fault_arr ~active
-            test
+          run_test_reference ~budget c ~observe ~faults ~active test
         in
         Array.iteri (fun k i -> if flags.(k) then detected.(i) <- true) active
       end)
@@ -466,9 +464,9 @@ let run_test_event ?(budget = Engine.Budget.none) c ~observe ~faults
   flags
 
 (* Multi-test event-driven run with per-test fault dropping. *)
-let run_event ?(budget = Engine.Budget.none) c ~observe ~faults tests =
-  let fault_arr = Array.of_list faults in
-  let n = Array.length fault_arr in
+let run_event ?(budget = Engine.Budget.none) c ~observe
+    ~(faults : Fault.t array) tests =
+  let n = Array.length faults in
   let detected = Array.make n false in
   if n > 0 then begin
     let eng = make_engine c in
@@ -494,8 +492,7 @@ let run_event ?(budget = Engine.Budget.none) c ~observe ~faults tests =
           done;
           let good = good_sim eng test in
           let flags = Array.make !remaining false in
-          run_active ~budget eng good ~observe ~faults:fault_arr ~active
-            ~flags test;
+          run_active ~budget eng good ~observe ~faults ~active ~flags test;
           Array.iteri
             (fun j hit -> if hit then detected.(active.(j)) <- true)
             flags
@@ -548,6 +545,7 @@ type pengine = {
   mutable xsdirty_n : int;
   xffd_off : int array;        (* net -> flip-flops it drives (CSR) *)
   xffd : int array;
+  mutable xdets : int array;   (* per active fault: the word's lane mask *)
 }
 
 let make_pengine c =
@@ -585,7 +583,8 @@ let make_pengine c =
     xsdirty_list = Array.make nff 0;
     xsdirty_n = 0;
     xffd_off;
-    xffd }
+    xffd;
+    xdets = [||] }
 
 let batch_of_tests c (chunk : Pattern.test array) =
   P.make_batch ~num_pis:(N.num_pis c) ~num_ffs:(N.num_ffs c)
@@ -845,35 +844,55 @@ let packed_sweep eng good (b : P.batch) ~observe ~piers ~stop_on_detect
   add_packed_evals !evals;
   !detected land b.P.b_mask
 
+(* Fault shards worth cutting [n] faults into at [jobs]: one below 128
+   faults, where a shard's scratch engine and task would cost more than
+   the sweeps it splits off. *)
+let fault_shards ~jobs n = if n < 128 then 1 else jobs
+
 (* Sweep the active faults through one word, observing the per-word time
-   histogram and the packed-sweep span; [apply k det] receives the index
-   into [active] and its nonzero lane mask. *)
-let packed_word ?(budget = Engine.Budget.none) eng c ~observe
+   histogram and the packed-sweep span; [apply k det] receives, in
+   [active] order, the index into [active] and its nonzero lane mask.
+   The good planes are built once on [eng] and shared read-only by
+   [fault_shards] contiguous shards of [active]: the first sweeps on
+   [eng], every other on a scratch engine of its own, and each writes
+   its lane masks into its own slice of [eng.xdets]. *)
+let packed_word ?(budget = Engine.Budget.none) ~jobs eng c ~observe
     ~stop_on_detect ~(faults : Fault.t array) ~(active : int array)
     (chunk : Pattern.test array) ~apply =
   let t0 = Engine.Clock.now () in
   Obs.Metrics.incr packed_batches_counter;
+  let na = Array.length active in
+  let shards = fault_shards ~jobs na in
   let sweep () =
     let b = batch_of_tests c chunk in
     let good = packed_good_sim eng b in
     let piers = pier_flags c observe in
-    (* one atomic load per fault; the word loops above poll the clock *)
-    Array.iteri
-      (fun k i ->
-        if not (Engine.Budget.check budget) then begin
-          let det =
-            packed_sweep eng good b ~observe ~piers ~stop_on_detect
-              faults.(i)
-          in
-          if det <> 0 then apply k det
-        end)
-      active
+    if Array.length eng.xdets < na then eng.xdets <- Array.make na 0;
+    let dets = eng.xdets in
+    let shard (start, len) =
+      let eng = if start = 0 then eng else make_pengine c in
+      (* one atomic load per fault; the word loops poll the clock *)
+      for k = start to start + len - 1 do
+        dets.(k) <-
+          (if Engine.Budget.check budget then 0
+           else
+             packed_sweep eng good b ~observe ~piers ~stop_on_detect
+               faults.(active.(k)))
+      done
+    in
+    ignore
+      (Engine.Shard.map ~jobs:shards shard (Engine.Shard.ranges ~shards na)
+       : unit option array);
+    for k = 0 to na - 1 do
+      if dets.(k) <> 0 then apply k dets.(k)
+    done
   in
   (if Obs.Span.enabled () then
      Obs.Span.with_ "fsim.packed"
        ~attrs:
          [ ("tests", Obs.Json.Int (Array.length chunk));
-           ("faults", Obs.Json.Int (Array.length active)) ]
+           ("faults", Obs.Json.Int na);
+           ("shards", Obs.Json.Int shards) ]
        sweep
    else sweep ());
   Obs.Metrics.observe packed_batch_hist (Engine.Clock.now () -. t0)
@@ -882,9 +901,9 @@ let packed_word ?(budget = Engine.Budget.none) eng c ~observe
    dropping at word granularity.  Because detection of a fault by a test
    never depends on other faults or tests, the flags are bit-identical
    to the per-test-dropping reference. *)
-let run_packed ?(budget = Engine.Budget.none) c ~observe ~faults tests =
-  let fault_arr = Array.of_list faults in
-  let n = Array.length fault_arr in
+let run_packed ?(budget = Engine.Budget.none) ~jobs c ~observe
+    ~(faults : Fault.t array) tests =
+  let n = Array.length faults in
   let detected = Array.make n false in
   if n > 0 then begin
     let eng = make_pengine c in
@@ -908,89 +927,11 @@ let run_packed ?(budget = Engine.Budget.none) c ~observe ~faults tests =
           incr k
         end
       done;
-      packed_word ~budget eng c ~observe ~stop_on_detect:true
-        ~faults:fault_arr ~active chunk
+      packed_word ~budget ~jobs eng c ~observe ~stop_on_detect:true
+        ~faults ~active chunk
         ~apply:(fun k _det ->
           detected.(active.(k)) <- true;
           decr remaining);
-      Obs.Progress.step prog
-    done;
-    Obs.Progress.finish prog
-  end;
-  detected
-
-(* Sharded packed run: the outer word loop stays sequential (so fault
-   dropping between words is preserved), the active faults of each word
-   are sharded across the pool.  The good planes are computed once per
-   word and shared read-only by every shard. *)
-let run_sharded_packed ?(budget = Engine.Budget.none) ~jobs c ~observe
-    ~faults tests =
-  let fault_arr = Array.of_list faults in
-  let n = Array.length fault_arr in
-  let detected = Array.make n false in
-  if n > 0 then begin
-    let pool = Engine.Pool.global () in
-    let tests_arr = Array.of_list tests in
-    let nt = Array.length tests_arr in
-    let prog =
-      Obs.Progress.start ~total:((nt + P.width - 1) / P.width) "fsim.grade"
-    in
-    let pos = ref 0 in
-    let remaining = ref n in
-    while !pos < nt && !remaining > 0
-          && not (Engine.Budget.poll budget) do
-      let len = min P.width (nt - !pos) in
-      let chunk = Array.sub tests_arr !pos len in
-      pos := !pos + len;
-      let active = Array.make !remaining 0 in
-      let k = ref 0 in
-      for i = 0 to n - 1 do
-        if not detected.(i) then begin
-          active.(!k) <- i;
-          incr k
-        end
-      done;
-      let t0 = Engine.Clock.now () in
-      Obs.Metrics.incr packed_batches_counter;
-      let sweep () =
-        let b = batch_of_tests c chunk in
-        let good = packed_good_sim (make_pengine c) b in
-        let piers = pier_flags c observe in
-        let parts =
-          Engine.Shard.map_chunks pool ~shards:jobs
-            (fun sub ->
-              let eng = make_pengine c in
-              Array.map
-                (fun i ->
-                  (not (Engine.Budget.check budget))
-                  && packed_sweep eng good b ~observe ~piers
-                       ~stop_on_detect:true fault_arr.(i)
-                     <> 0)
-                sub)
-            active
-        in
-        let k = ref 0 in
-        Array.iter
-          (fun part ->
-            Array.iter
-              (fun hit ->
-                if hit then begin
-                  detected.(active.(!k)) <- true;
-                  decr remaining
-                end;
-                incr k)
-              part)
-          parts
-      in
-      (if Obs.Span.enabled () then
-         Obs.Span.with_ "fsim.packed"
-           ~attrs:
-             [ ("tests", Obs.Json.Int len);
-               ("faults", Obs.Json.Int (Array.length active));
-               ("shards", Obs.Json.Int jobs) ]
-           sweep
-       else sweep ());
-      Obs.Metrics.observe packed_batch_hist (Engine.Clock.now () -. t0);
       Obs.Progress.step prog
     done;
     Obs.Progress.finish prog
@@ -1001,78 +942,49 @@ let run_sharded_packed ?(budget = Engine.Budget.none) ~jobs c ~observe
 (* Engine dispatch.                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(** [run_test c ~observe ~faults ~active test] simulates one test against
-    [faults.(i)] for each [i] in [active]; the result aligns with
-    [active].  A single test offers only one lane to pack, so the
+(* Per-shard results in shard order, joined; a lone shard is returned
+   as is. *)
+let concat = function
+  | [| part |] -> part
+  | parts -> Array.concat (Array.to_list parts)
+
+(** [run_test ?jobs c ~observe ~faults ~active test] simulates one test
+    against [faults.(i)] for each [i] in [active]; the result aligns
+    with [active].  A single test offers only one lane to pack, so the
     packed default falls back to the event-driven parallel-fault engine
-    (which already words 63 faults per evaluation); [~engine:Reference]
-    forces the straight-line oracle. *)
-let run_test ?(engine = Packed) ?(budget = Engine.Budget.none) c ~observe
-    ~faults ~active test =
+    (which already words 63 faults per evaluation), its active faults
+    cut into [fault_shards] contiguous shards, one injection state
+    each; [~engine:Reference] forces the straight-line oracle. *)
+let run_test ?(engine = Packed) ?(budget = Engine.Budget.none) ?(jobs = 1)
+    c ~observe ~faults ~active test =
   match engine with
   | Reference -> run_test_reference ~budget c ~observe ~faults ~active test
-  | Packed | Event -> run_test_event ~budget c ~observe ~faults ~active test
+  | Packed | Event ->
+    concat
+      (Engine.Shard.map_chunks
+         ~jobs:(fault_shards ~jobs (Array.length active))
+         (fun active -> run_test_event ~budget c ~observe ~faults ~active test)
+         active)
 
-(** [run_test_sharded ~jobs ...] is {!run_test} with the active faults
-    sharded across the global domain pool: each shard owns a disjoint
-    contiguous slice of [active] and its own injection state, the
-    immutable circuit and its [Netlist.Analysis] are shared.  Per-fault
-    flags are independent, so the ordered merge is bit-identical to the
-    serial run. *)
-let run_test_sharded ?(engine = Packed) ?(budget = Engine.Budget.none) ~jobs
-    c ~observe ~faults ~active test =
-  if engine = Reference || jobs <= 1 || Array.length active < 128 then
-    run_test ~engine ~budget c ~observe ~faults ~active test
-  else
-    let pool = Engine.Pool.global () in
-    let parts =
-      Engine.Shard.map_chunks pool ~shards:jobs
-        (fun sub ->
-          run_test_event ~budget c ~observe ~faults ~active:sub test)
-        active
-    in
-    Array.concat (Array.to_list parts)
-
-(** [run c ~observe ~faults tests] fault-simulates every test with fault
-    dropping; returns per-fault detection flags aligned with [faults].
-    All three engines produce bit-identical flags. *)
-let run ?(engine = Packed) ?(budget = Engine.Budget.none) c ~observe ~faults
-    tests =
-  match engine with
-  | Packed -> run_packed ~budget c ~observe ~faults tests
-  | Event -> run_event ~budget c ~observe ~faults tests
-  | Reference -> run_reference ~budget c ~observe ~faults tests
-
-(** [run_sharded ~jobs ...] is {!run} parallelized over the global
-    domain pool.  Packed: the word-sized pattern chunks stay sequential
-    (preserving fault dropping between words) and each word's active
-    faults are sharded, every shard sweeping its slice against one
-    shared good simulation.  Event: the fault list is partitioned into
-    [jobs] contiguous shards with local fault dropping.  Detection of a
-    fault never depends on any other fault, so both are bit-identical
-    to the serial {!run} for every [jobs].  Falls back to the serial
-    engine for [jobs <= 1] or small fault lists; [~engine:Reference] is
-    always serial. *)
-let run_sharded ?(engine = Packed) ?(budget = Engine.Budget.none) ~jobs c
+(** [run ?jobs c ~observe ~faults tests] fault-simulates every test with
+    fault dropping; returns per-fault detection flags aligned with
+    [faults].  All three engines produce bit-identical flags at every
+    [jobs].  Packed: the word loop stays sequential (fault dropping
+    between words is preserved) and [packed_word] shards each word's
+    active faults.  Event: contiguous fault shards, each with its own
+    dropping.  Reference: one shard. *)
+let run ?(engine = Packed) ?(budget = Engine.Budget.none) ?(jobs = 1) c
     ~observe ~faults tests =
-  let n = List.length faults in
-  if jobs <= 1 || n < 128 then
-    run ~engine ~budget c ~observe ~faults tests
-  else
-    match engine with
-    | Packed -> run_sharded_packed ~budget ~jobs c ~observe ~faults tests
-    | Reference -> run_reference ~budget c ~observe ~faults tests
-    | Event ->
-      let pool = Engine.Pool.global () in
-      let fault_arr = Array.of_list faults in
-      let parts =
-        Engine.Shard.map_chunks pool ~shards:jobs
-          (fun shard ->
-            run_event ~budget c ~observe ~faults:(Array.to_list shard)
-              tests)
-          fault_arr
-      in
-      Array.concat (Array.to_list parts)
+  let faults = Array.of_list faults in
+  match engine with
+  | Packed -> run_packed ~budget ~jobs c ~observe ~faults tests
+  | Event ->
+    concat
+      (Engine.Shard.map_chunks
+         ~jobs:(fault_shards ~jobs (Array.length faults))
+         (fun faults -> run_event ~budget c ~observe ~faults tests)
+         faults)
+  | Reference -> run_reference ~budget c ~observe ~faults tests
 
 (** [run_matrix c ~observe ~faults ~active tests] computes the full
     detection matrix without fault dropping: one signature per index in
@@ -1096,8 +1008,8 @@ let run_matrix ?(engine = Packed) ?(budget = Engine.Budget.none) c ~observe
          let chunk = Array.sub tests !pos len in
          let off = !pos in
          pos := !pos + len;
-         packed_word ~budget eng c ~observe ~stop_on_detect:false ~faults
-           ~active chunk
+         packed_word ~budget ~jobs:1 eng c ~observe ~stop_on_detect:false
+           ~faults ~active chunk
            ~apply:(fun k det ->
              for l = 0 to len - 1 do
                if (det lsr l) land 1 = 1 then

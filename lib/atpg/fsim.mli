@@ -70,48 +70,39 @@ val run_batch_reference :
   Netlist.t -> faults:Fault.t list -> observe:observe -> Pattern.test ->
   bool list
 
-(** [run_test c ~observe ~faults ~active test] simulates one test against
-    [faults.(i)] for each [i] in [active]; the result aligns with
-    [active].  A single test offers only one pattern lane, so [Packed]
-    falls back to the event-driven engine here (already 63 faults per
-    word); [~engine:Reference] forces the oracle. *)
+(** [run_test ?jobs c ~observe ~faults ~active test] simulates one test
+    against [faults.(i)] for each [i] in [active]; the result aligns
+    with [active].  A single test offers only one pattern lane, so
+    [Packed] falls back to the event-driven engine here (already 63
+    faults per word); [~engine:Reference] forces the oracle.
+
+    [jobs] (default 1) shards the active faults over the global domain
+    pool through {!Engine.Shard}: disjoint contiguous slices, one
+    injection state each, shared immutable circuit and analysis.  The
+    flags are bit-identical at every [jobs]; under 128 active faults,
+    or under [Reference], there is one shard. *)
 val run_test :
-  ?engine:engine_kind -> ?budget:Engine.Budget.t ->
+  ?engine:engine_kind -> ?budget:Engine.Budget.t -> ?jobs:int ->
   Netlist.t -> observe:observe -> faults:Fault.t array -> active:int array ->
   Pattern.test -> bool array
 
-(** [run_test_sharded ~jobs ...] is {!run_test} with the active faults
-    sharded across the global domain pool (disjoint contiguous slices,
-    one injection state per domain, shared immutable circuit and
-    analysis); bit-identical to {!run_test}.  Falls back to the serial
-    engine for [jobs <= 1], small active sets or [Reference]. *)
-val run_test_sharded :
-  ?engine:engine_kind -> ?budget:Engine.Budget.t ->
-  jobs:int -> Netlist.t -> observe:observe -> faults:Fault.t array ->
-  active:int array -> Pattern.test -> bool array
+(** [run ?jobs c ~observe ~faults tests] fault-simulates every test with
+    fault dropping; per-fault detection flags align with [faults].  All
+    three engines return bit-identical flags: detection of a fault by a
+    test never depends on other faults or tests, so packing tests into
+    word lanes (and dropping at word granularity) changes evaluation
+    counts only.
 
-(** [run c ~observe ~faults tests] fault-simulates every test with fault
-    dropping; per-fault detection flags align with [faults].  All three
-    engines return bit-identical flags: detection of a fault by a test
-    never depends on other faults or tests, so packing tests into word
-    lanes (and dropping at word granularity) changes evaluation counts
-    only. *)
+    [jobs] (default 1) shards the faults over the global domain pool,
+    bit-identically at every [jobs].  Packed: the word-sized pattern
+    chunks stay sequential (fault dropping between words is preserved)
+    and each word's active faults are sharded against one shared good
+    simulation.  Event: contiguous fault shards with local dropping.
+    Under 128 faults, or under [Reference], there is one shard. *)
 val run :
-  ?engine:engine_kind -> ?budget:Engine.Budget.t ->
+  ?engine:engine_kind -> ?budget:Engine.Budget.t -> ?jobs:int ->
   Netlist.t -> observe:observe -> faults:Fault.t list -> Pattern.test list ->
   bool array
-
-(** [run_sharded ~jobs ...] is {!run} parallelized over the global
-    domain pool and bit-identical to it for every [jobs].  Packed: the
-    word-sized pattern chunks stay sequential (fault dropping between
-    words is preserved) and each word's active faults are sharded
-    against one shared good simulation.  Event: contiguous fault shards
-    with local dropping.  Falls back to the serial engine for
-    [jobs <= 1], small fault lists or [Reference]. *)
-val run_sharded :
-  ?engine:engine_kind -> ?budget:Engine.Budget.t ->
-  jobs:int -> Netlist.t -> observe:observe -> faults:Fault.t list ->
-  Pattern.test list -> bool array
 
 (** [run_matrix c ~observe ~faults ~active tests] is the full detection
     matrix without fault dropping: one signature per index in [active],

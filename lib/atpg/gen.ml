@@ -64,8 +64,7 @@ type result = {
   r_effectiveness : float;  (** percent detected or proven untestable *)
   r_tests : Pattern.test list;
   r_vectors : int;
-  r_time : float;           (** CPU seconds, summed over all domains *)
-  r_wall : float;           (** wall-clock seconds *)
+  r_wall : float;           (** wall-clock seconds of this run *)
   r_outcomes : (Fault.t * outcome) list;
   r_sat_detected : int;     (** faults only the SAT engine closed *)
   r_sat_untestable : int;   (** aborted faults SAT proved untestable *)
@@ -89,7 +88,6 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
   Obs.Span.with_ "atpg.run"
     ~attrs:[ ("faults", Obs.Json.Int (List.length faults)) ]
   @@ fun () ->
-  let t0_cpu = Sys.time () in
   let t0 = Engine.Clock.now () in
   let elapsed () = Engine.Clock.now () -. t0 in
   (* the run token carries the total budget; every phase, pool task and
@@ -123,7 +121,6 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
     if cfg.g_jobs = 0 then Engine.Pool.size (Engine.Pool.global ())
     else max 1 cfg.g_jobs
   in
-  let pool = if jobs > 1 then Some (Engine.Pool.global ()) else None in
   let n = List.length faults in
   let fault_arr = Array.of_list faults in
   let outcome = Array.make n None in
@@ -144,13 +141,12 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
     done;
     idx
   in
-  (* simulate [test] against the faults at [active]; mark hits Detected
-     (serial below two jobs) *)
+  (* simulate [test] against the faults at [active]; mark hits Detected *)
   let confirm_and_drop active test =
     if Array.length active > 0 then begin
       let flags =
-        Fsim.run_test_sharded ~jobs ~budget:run_tok c ~observe
-          ~faults:fault_arr ~active test
+        Fsim.run_test ~jobs ~budget:run_tok c ~observe ~faults:fault_arr
+          ~active test
       in
       Array.iteri
         (fun k i -> if flags.(k) then outcome.(i) <- Some Detected)
@@ -160,54 +156,39 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
   (* Sweep the fault list once, running [generate] on every fault that
      satisfies [eligible] when reached and feeding the result to [apply].
 
-     Serial: the textbook loop.
-
-     Parallel: candidates are selected in fault order in rounds of
-     [2*jobs], generated concurrently, and the results applied strictly
-     in fault order; a result whose fault was resolved by an earlier
-     application in the same round is discarded, exactly as the serial
-     loop would never have generated it.  Because generation reads only
-     immutable inputs, the applied sequence — and therefore every
-     outcome, test and statistic — matches the serial run bit for bit
-     whenever the time budgets do not bind. *)
+     Candidates are picked in fault order in rounds — one at one job, so
+     the serial run never generates speculatively, and [2 * jobs]
+     otherwise — generated through {!Engine.Shard.map}, and the results
+     applied strictly in fault order; a result whose fault was resolved
+     by an earlier application in the same round is discarded, exactly
+     as a one-job run would never have generated it.  Because generation
+     reads only immutable inputs, the applied sequence — and therefore
+     every outcome, test and statistic — is the same at every job count
+     whenever the time budgets do not bind.  A dead budget withdraws the
+     round's candidates not yet started; the ones already running abort
+     through their own child tokens, and both leave the fault unresolved
+     (later counted budget-skipped). *)
+  let round = if jobs > 1 then 2 * jobs else 1 in
   let sweep ~eligible ~generate ~apply =
-    match pool with
-    | None ->
-      for i = 0 to n - 1 do
-        if eligible i && not (dead ()) then apply i (generate i)
-      done
-    | Some pool ->
-      let chunk = 2 * jobs in
-      let next = ref 0 in
-      while !next < n do
-        let cand = ref [] and k = ref 0 in
-        while !k < chunk && !next < n do
-          let i = !next in
-          incr next;
-          if eligible i && not (dead ()) then begin
-            cand := i :: !cand;
-            incr k
-          end
-        done;
-        (* [!cand] is in descending index order; rev_map restores fault
-           order for both submission and application *)
-        let futs =
-          List.rev_map
-            (fun i -> (i, Engine.Pool.submit pool (fun () -> generate i)))
-            !cand
-        in
-        List.iter
-          (fun (i, fut) ->
-            (* a dead budget withdraws the round's queued candidates;
-               the ones already running abort through their own child
-               tokens, and both leave the fault unresolved (later
-               counted budget-skipped) exactly like the serial loop *)
-            if dead () then ignore (Engine.Pool.cancel fut : bool);
-            match Engine.Pool.await fut with
-            | r -> if eligible i then apply i r
-            | exception Engine.Pool.Cancelled -> ())
-          futs
-      done
+    let next = ref 0 in
+    while !next < n do
+      let cand = ref [] and k = ref 0 in
+      while !k < round && !next < n do
+        let i = !next in
+        incr next;
+        if eligible i then begin
+          cand := i :: !cand;
+          incr k
+        end
+      done;
+      let cand = Array.of_list (List.rev !cand) in
+      Array.iteri
+        (fun k r ->
+          match r with
+          | Some r when eligible cand.(k) -> apply cand.(k) r
+          | Some _ | None -> ())
+        (Engine.Shard.map ~stop:dead ~jobs generate cand)
+    done
   in
   (* -------- phase 1: random sequences until saturation ------------ *)
   Obs.Log.event Obs.Log.Info "atpg.phase"
@@ -242,7 +223,7 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
         if Array.length active > 0 then begin
           let sub = List.map (fun i -> fault_arr.(i)) (Array.to_list active) in
           let flags =
-            Fsim.run_sharded ~jobs ~budget:run_tok c ~observe ~faults:sub
+            Fsim.run ~jobs ~budget:run_tok c ~observe ~faults:sub
               random_tests
           in
           Array.iteri
@@ -512,7 +493,6 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
     r_effectiveness = coverage (detected + untestable) n;
     r_tests = List.rev !tests;
     r_vectors = Pattern.total_vectors !tests;
-    r_time = Sys.time () -. t0_cpu;
     r_wall = elapsed ();
     r_outcomes =
       Array.to_list (Array.mapi (fun i o -> (fault_arr.(i), Option.get o)) outcome);

@@ -56,8 +56,8 @@ type result = {
   r_effectiveness : float;  (** percent detected or proven untestable *)
   r_tests : Pattern.test list;
   r_vectors : int;
-  r_time : float;           (** CPU seconds, summed over all domains *)
-  r_wall : float;           (** wall-clock seconds *)
+  r_wall : float;           (** wall-clock seconds of this run, the same
+                                measure at every job count *)
   r_outcomes : (Fault.t * outcome) list;
   r_sat_detected : int;     (** faults only the SAT engine closed *)
   r_sat_untestable : int;   (** aborted faults SAT proved untestable *)

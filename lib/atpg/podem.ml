@@ -47,10 +47,6 @@ type config = {
 
 let default_config = { frames = 1; backtrack_limit = 100; piers = []; seed = 0 }
 
-(** Internal diagnostics hook: receives one line per search event. *)
-let debug_hook : (string -> unit) option ref = ref None
-let dbg fmt = Printf.ksprintf (fun s -> match !debug_hook with Some f -> f s | None -> ()) fmt
-
 type model = {
   c : N.t;
   cfg : config;
@@ -468,11 +464,6 @@ let run ?(budget = Engine.Budget.none) c cfg fault =
   let m = make_model c cfg fault in
   let stack = ref [] in
   simulate m;
-  let show_v = function V0 -> "0" | V1 -> "1" | VX -> "x" in
-  let show_input = function
-    | In_pi (f, i) -> Printf.sprintf "pi %s@f%d" m.c.N.pi_names.(i) f
-    | In_pier i -> Printf.sprintf "pier %s" m.c.N.ff_names.(i)
-  in
   let rec step () =
     (* the decision loop's budget check is one atomic load; the clock
        is consulted every 64 decisions *)
@@ -483,19 +474,16 @@ let run ?(budget = Engine.Budget.none) c cfg fault =
     else
       match choose_objective m with
       | Some (f, net, v) ->
-        dbg "objective net%d@f%d = %s" net f (show_v v);
         (match backtrace m f net v with
          | Some (input, v) when v <> VX ->
-           dbg "  assign %s := %s (stack %d)" (show_input input) (show_v v)
-             (List.length !stack);
            let k = Hashtbl.find m.input_index input in
            incr decisions;
            m.assignment.(k) <- v;
            stack := { d_input = k; d_flipped = false } :: !stack;
            simulate m;
            step ()
-         | _ -> dbg "  backtrace failed"; backtrack ())
-      | None -> dbg "dead end"; backtrack ()
+         | _ -> backtrack ())
+      | None -> backtrack ()
   and backtrack () =
     m.backtracks <- m.backtracks + 1;
     if Engine.Budget.check budget then Aborted

@@ -19,9 +19,6 @@ type config = {
 
 val default_config : config
 
-(** Diagnostics hook: receives one line per search event when set. *)
-val debug_hook : (string -> unit) option ref
-
 (** [run c cfg fault] attempts to generate a test for [fault].  A dead
     [budget] token surfaces as [Aborted]: the decision loop loads the
     token's flag on every decision and polls the clock every 64. *)

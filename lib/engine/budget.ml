@@ -31,15 +31,16 @@ let none =
     lock = Mutex.create ();
     children = [] }
 
-let m_expired = lazy (Obs.Metrics.counter "factor.budget.expired")
-let m_cancelled = lazy (Obs.Metrics.counter "factor.budget.cancelled")
+(* Registered on first use; not [lazy], which is unsafe to force from
+   two domains at once. *)
+let m_expired () = Obs.Metrics.counter "factor.budget.expired"
+let m_cancelled () = Obs.Metrics.counter "factor.budget.cancelled"
 
 (* First transition wins: a cancel racing an expiry keeps whichever flag
    landed first, and the metric counts each token at most once. *)
 let trip t v =
   if Atomic.compare_and_set t.flag live v then
-    Obs.Metrics.incr
-      (Lazy.force (if v = expired then m_expired else m_cancelled))
+    Obs.Metrics.incr (if v = expired then m_expired () else m_cancelled ())
 
 let resolve_deadline deadline_in =
   match deadline_in with

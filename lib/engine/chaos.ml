@@ -17,8 +17,11 @@ let lock = Mutex.create ()
 let config : cfg option ref = ref None
 let hits : (string, int) Hashtbl.t = Hashtbl.create 64
 
-let m_injected = lazy (Obs.Metrics.counter "factor.chaos.injected")
-let m_delayed = lazy (Obs.Metrics.counter "factor.chaos.delayed")
+(* Registered on first use.  Not [lazy]: two domains forcing one lazy
+   value at once raise [CamlinternalLazy.Undefined]; the registry
+   interns names under its own lock. *)
+let m_injected () = Obs.Metrics.counter "factor.chaos.injected"
+let m_delayed () = Obs.Metrics.counter "factor.chaos.delayed"
 
 let parse_mode = function
   | "all" -> Some All
@@ -138,13 +141,13 @@ let decide site =
 let delay_of v = 0.0005 +. (v *. 0.004)   (* 0.5 .. 4.5 ms *)
 
 let inject site =
-  Obs.Metrics.incr (Lazy.force m_injected);
+  Obs.Metrics.incr (m_injected ());
   Obs.Log.event Obs.Log.Warn "chaos.injected"
     [ ("site", Obs.Json.String site) ];
   raise (Injected site)
 
 let delay site v =
-  Obs.Metrics.incr (Lazy.force m_delayed);
+  Obs.Metrics.incr (m_delayed ());
   Obs.Log.event Obs.Log.Debug "chaos.delayed"
     [ ("site", Obs.Json.String site) ];
   Unix.sleepf (delay_of v)
@@ -169,7 +172,7 @@ let abort_point site =
     match decide site with
     | None | Some (Delay_only, _) -> false
     | Some ((All | Fail_only), _) ->
-      Obs.Metrics.incr (Lazy.force m_injected);
+      Obs.Metrics.incr (m_injected ());
       Obs.Log.event Obs.Log.Warn "chaos.injected"
         [ ("site", Obs.Json.String site);
           ("kind", Obs.Json.String "abort") ];

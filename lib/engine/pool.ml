@@ -236,8 +236,9 @@ let submit pool f =
   Mutex.unlock pool.mutex;
   fut
 
-let m_pool_cancelled =
-  lazy (Obs.Metrics.counter "factor.pool.cancelled_tasks")
+(* Registered on first use; not [lazy], which is unsafe to force from
+   two domains at once. *)
+let m_pool_cancelled () = Obs.Metrics.counter "factor.pool.cancelled_tasks"
 
 let cancel fut =
   let pool = fut.f_pool in
@@ -253,7 +254,7 @@ let cancel fut =
     | _ -> false
   in
   Mutex.unlock pool.mutex;
-  if won then Obs.Metrics.incr (Lazy.force m_pool_cancelled);
+  if won then Obs.Metrics.incr (m_pool_cancelled ());
   won
 
 let await fut =
@@ -285,10 +286,6 @@ let await fut =
          loop ())
   in
   loop ()
-
-let run_all pool fs =
-  let futs = List.map (submit pool) fs in
-  List.map await futs
 
 let shutdown pool =
   Mutex.lock pool.mutex;

@@ -52,10 +52,6 @@ val await : 'a future -> 'a
     a {!Budget} token instead. *)
 val cancel : 'a future -> bool
 
-(** [run_all pool fs] submits every thunk and awaits the results in
-    order — the deterministic fan-out/merge primitive. *)
-val run_all : t -> (unit -> 'a) list -> 'a list
-
 (** Drain queued tasks, stop the workers and join their domains.  The
     pool cannot be used afterwards.  Idempotent. *)
 val shutdown : t -> unit

@@ -144,8 +144,8 @@ let standalone_atpg env spec cfg =
   { ar_name = spec.ms_name;
     ar_coverage = r.Atpg.Gen.r_coverage;
     ar_effectiveness = r.Atpg.Gen.r_effectiveness;
-    ar_testgen_time = r.Atpg.Gen.r_time;
-    ar_total_time = r.Atpg.Gen.r_time;
+    ar_testgen_time = r.Atpg.Gen.r_wall;
+    ar_total_time = r.Atpg.Gen.r_wall;
     ar_faults = r.Atpg.Gen.r_total;
     ar_vectors = r.Atpg.Gen.r_vectors;
     ar_result = r }
@@ -161,8 +161,8 @@ let processor_atpg ~full spec cfg =
   { ar_name = spec.ms_name;
     ar_coverage = r.Atpg.Gen.r_coverage;
     ar_effectiveness = r.Atpg.Gen.r_effectiveness;
-    ar_testgen_time = r.Atpg.Gen.r_time;
-    ar_total_time = r.Atpg.Gen.r_time;
+    ar_testgen_time = r.Atpg.Gen.r_wall;
+    ar_total_time = r.Atpg.Gen.r_wall;
     ar_faults = r.Atpg.Gen.r_total;
     ar_vectors = r.Atpg.Gen.r_vectors;
     ar_result = r }
@@ -192,9 +192,9 @@ let transformed_atpg ?(budget = Engine.Budget.none) (row : transform_row) cfg =
     ar_coverage = pct r.Atpg.Gen.r_detected;
     ar_effectiveness =
       pct (r.Atpg.Gen.r_detected + r.Atpg.Gen.r_untestable + constrained_away);
-    ar_testgen_time = r.Atpg.Gen.r_time;
+    ar_testgen_time = r.Atpg.Gen.r_wall;
     ar_total_time =
-      row.tr_extraction_time +. row.tr_synthesis_time +. r.Atpg.Gen.r_time;
+      row.tr_extraction_time +. row.tr_synthesis_time +. r.Atpg.Gen.r_wall;
     ar_faults = universe;
     ar_vectors = r.Atpg.Gen.r_vectors;
     ar_result = r }
@@ -240,6 +240,9 @@ let outcome name status row =
        [ ("mut", Obs.Json.String name); ("why", Obs.Json.String why) ]);
   { mo_name = name; mo_status = status; mo_row = row }
 
+let not_started name =
+  outcome name (Mut_skipped "run budget exhausted before start") None
+
 (** Run one MUT under a child budget, converting every failure mode into
     a row-local status: an exception (including an injected chaos fault)
     becomes [Mut_failed], a budget that expired mid-generation becomes
@@ -248,8 +251,7 @@ let outcome name status row =
     [Mut_skipped].  Never raises — sibling rows are unaffected. *)
 let run_one_mut ?mut_budget parent cfg (row : transform_row) =
   let name = row.tr_name in
-  if Engine.Budget.poll parent then
-    outcome name (Mut_skipped "run budget exhausted before start") None
+  if Engine.Budget.poll parent then not_started name
   else begin
     let tok = Engine.Budget.sub ?deadline_in:mut_budget parent in
     Fun.protect ~finally:(fun () -> Engine.Budget.detach tok) @@ fun () ->
@@ -281,54 +283,33 @@ let run_one_mut ?mut_budget parent cfg (row : transform_row) =
   end
 
 (** [transformed_atpg_all ?jobs ?budget ?mut_budget rows cfg] produces
-    every Table 5/6 row, running the per-MUT generations as concurrent
-    tasks on the global domain pool and merging the outcomes in input
-    order — bit-identical to the serial map because each MUT's
+    every Table 5/6 row through one {!Engine.Shard.map} over the rows:
+    concurrent tasks on the global domain pool, outcomes merged in input
+    order — bit-identical at every job count because each MUT's
     generation reads only its own transformed circuit and the shared
     immutable analysis, and chaos/budget decisions key on the MUT name.
     Each MUT is isolated (see {!run_one_mut}); [budget] bounds the whole
-    run and [mut_budget] (seconds) each row.  Rows whose task was still
-    queued when [budget] died are cancelled and reported as
-    [Mut_skipped].  [jobs] defaults to the pool width; [jobs <= 1] runs
-    serially.  Per-row generation is kept serial ([g_jobs = 1]) when the
-    rows themselves fan out, so the pool is not oversubscribed. *)
+    run and [mut_budget] (seconds) each row.  Rows not yet started when
+    [budget] dies are withdrawn and reported as [Mut_skipped].  [jobs]
+    defaults to the pool width; each row generates at [cfg.g_jobs]. *)
 let transformed_atpg_all ?jobs ?(budget = Engine.Budget.none) ?mut_budget
     rows cfg =
-  let pool = Engine.Pool.global () in
   let jobs =
-    match jobs with Some j -> max 1 j | None -> Engine.Pool.size pool
+    match jobs with
+    | Some j -> j
+    | None -> Engine.Pool.size (Engine.Pool.global ())
   in
   let prog = Obs.Progress.start ~total:(List.length rows) "flow.muts" in
-  let result =
-    if jobs <= 1 || List.length rows <= 1 then
-      List.map
-        (fun row ->
-          let o = run_one_mut ?mut_budget budget cfg row in
-          Obs.Progress.step prog;
-          o)
-        rows
-    else begin
-      let cfg = { cfg with Atpg.Gen.g_jobs = 1 } in
-      let futs =
-        List.map
-          (fun row ->
-            (row, Engine.Pool.submit pool (fun () ->
-                      let o = run_one_mut ?mut_budget budget cfg row in
-                      Obs.Progress.step prog;
-                      o)))
-          rows
-      in
-      List.map
-        (fun (row, fut) ->
-          if Engine.Budget.poll budget then
-            ignore (Engine.Pool.cancel fut : bool);
-          match Engine.Pool.await fut with
-          | o -> o
-          | exception Engine.Pool.Cancelled ->
-            outcome row.tr_name
-              (Mut_skipped "run budget exhausted before start") None)
-        futs
-    end
+  let outcomes =
+    Engine.Shard.map ~jobs
+      ~stop:(fun () -> Engine.Budget.poll budget)
+      (fun row ->
+        let o = run_one_mut ?mut_budget budget cfg row in
+        Obs.Progress.step prog;
+        o)
+      (Array.of_list rows)
   in
   Obs.Progress.finish prog;
-  result
+  List.map2
+    (fun row -> function Some o -> o | None -> not_started row.tr_name)
+    rows (Array.to_list outcomes)

@@ -104,16 +104,15 @@ type mut_outcome = {
 val completed_rows : mut_outcome list -> atpg_row list
 
 (** [transformed_atpg_all ?jobs ?budget ?mut_budget rows cfg] maps
-    {!transformed_atpg} over the rows as concurrent tasks on the global
-    domain pool (MUT-parallel Tables 5/6), merging outcomes in input
-    order — bit-identical to the serial map.  Each MUT is isolated: a
-    crash, hang-guard trip, or budget expiry yields a [Mut_failed] /
+    {!transformed_atpg} over the rows with {!Engine.Shard.map}
+    (MUT-parallel Tables 5/6), merging outcomes in input order —
+    bit-identical at every job count.  Each MUT is isolated: a crash,
+    hang-guard trip, or budget expiry yields a [Mut_failed] /
     [Mut_degraded] outcome for that row only; siblings are unaffected
-    and the call never raises.  [budget] bounds the whole run (queued
-    rows are cancelled and [Mut_skipped] once it dies), [mut_budget]
-    (seconds) bounds each row.  [jobs] defaults to the pool width;
-    [jobs <= 1] is the serial map.  Per-row generation is forced serial
-    to avoid oversubscribing the pool. *)
+    and the call never raises.  [budget] bounds the whole run (rows not
+    yet started once it dies are withdrawn and [Mut_skipped]),
+    [mut_budget] (seconds) bounds each row.  [jobs] defaults to the pool
+    width; each row generates at [cfg.g_jobs]. *)
 val transformed_atpg_all :
   ?jobs:int -> ?budget:Engine.Budget.t -> ?mut_budget:float ->
   transform_row list -> Atpg.Gen.config -> mut_outcome list

@@ -8,7 +8,7 @@
       [Budget.Exhausted] (a crash with a replay line), never as a
       spurious "the engines disagree".
     - {b canonical reports}: outcomes are merged in seed order off
-      [Pool.run_all] and rendered without timings, so the same seed
+      [Shard.map] and rendered without timings, so the same seed
       range produces byte-identical reports at any job count. *)
 
 type check =
@@ -408,7 +408,7 @@ let check_jobs cfg budget rng ast ~top =
     let observe = Atpg.Fsim.default_observe in
     let serial = Atpg.Fsim.run ~budget c ~observe ~faults tests in
     let sharded =
-      Atpg.Fsim.run_sharded ~budget ~jobs:cfg.dc_jobs c ~observe ~faults tests
+      Atpg.Fsim.run ~budget ~jobs:cfg.dc_jobs c ~observe ~faults tests
     in
     if serial = sharded then None
     else
@@ -519,13 +519,14 @@ let campaign ?(budget = Engine.Budget.none) ?corpus cfg ~base ~count =
   let seeds = List.init count (fun i -> base + i) in
   let prog = Obs.Progress.start ~total:count "fuzz.seeds" in
   let outcomes =
-    Engine.Pool.run_all (Engine.Pool.global ())
-      (List.map
-         (fun s () ->
-           let o = (s, run_seed ~budget cfg s) in
-           Obs.Progress.step prog;
-           o)
-         seeds)
+    Engine.Shard.map ~jobs:(Engine.Pool.size (Engine.Pool.global ()))
+      (fun s ->
+        let o = (s, run_seed ~budget cfg s) in
+        Obs.Progress.step prog;
+        o)
+      (Array.of_list seeds)
+    (* nothing is withdrawn without [~stop] *)
+    |> Array.to_list |> List.map Option.get
   in
   Obs.Progress.finish prog;
   let failures = ref [] and crashes = ref [] in

@@ -1,5 +1,6 @@
-(** Flat-directory blob store with atomic writes and versioned Marshal
-    headers.  See the mli for the failure contract. *)
+(** Flat-directory blob store with atomic writes and versioned,
+    digest-checked Marshal headers.  See the mli for the failure
+    contract. *)
 
 (* [st_entries] / [st_bytes] mirror what {!stats} would scan: counted
    once at {!open_}, then adjusted by each write or removal under
@@ -15,8 +16,9 @@ let dir t = t.st_dir
 
 (* Identifies both the store layout and the Marshal producer: entries
    written by a different compiler build (whose Marshal format may
-   differ) must read as misses, not as garbage values. *)
-let magic = "FACTOR-STORE-1\n"
+   differ), or by a layout without the payload digest, must read as
+   misses, not as garbage values. *)
+let magic = "FACTOR-STORE-2\n"
 
 let rec mkdir_p path =
   if path <> "" && path <> "/" && not (Sys.file_exists path) then begin
@@ -126,16 +128,25 @@ let get t ~key =
 
 let header = magic ^ Sys.ocaml_version ^ "\n"
 
+(* An entry is [header], the [Digest] of the payload, then the Marshal
+   payload.  [Marshal.from_string] trusts its input — a flipped bit
+   inside a well-formed blob can yield an ill-typed value or a crash —
+   so the payload is unmarshalled only once its digest matches. *)
 let put_value t ~key v =
-  put t ~key (header ^ Marshal.to_string v [])
+  let payload = Marshal.to_string v [] in
+  put t ~key (header ^ Digest.string payload ^ payload)
 
 let get_value t ~key =
   match get t ~key with
   | None -> None
   | Some s ->
     let hl = String.length header in
-    if String.length s < hl || String.sub s 0 hl <> header then None
-    else (try Some (Marshal.from_string s hl) with _ -> None)
+    let pl = hl + 16 in
+    if String.length s < pl || String.sub s 0 hl <> header then None
+    else if
+      Digest.substring s pl (String.length s - pl) <> String.sub s hl 16
+    then None
+    else (try Some (Marshal.from_string s pl) with _ -> None)
 
 let remove t ~key =
   let p = path t key in

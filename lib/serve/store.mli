@@ -3,11 +3,12 @@
     One flat directory of files, one entry per key.  Writes go to a
     temporary file in the same directory and [rename] into place, so a
     reader never observes a torn entry and a crashed writer leaves at
-    worst an orphan temp file.  Marshalled values carry a magic string
-    and the compiler version; {!get_value} treats any mismatch — or any
-    read/unmarshal failure at all — as a cache miss, never an error, so
-    a store written by an older build degrades to cold starts instead of
-    poisoning the daemon. *)
+    worst an orphan temp file.  Marshalled values carry a magic string,
+    the compiler version and a digest of the payload; {!get_value}
+    treats any mismatch — or any read/unmarshal failure at all — as a
+    cache miss, never an error, so a store written by an older build, or
+    corrupted on disk, degrades to cold starts instead of poisoning the
+    daemon. *)
 
 type t
 
@@ -27,12 +28,13 @@ val put : t -> key:string -> string -> unit
 val get : t -> key:string -> string option
 
 (** [put_value t ~key v] stores [Marshal.to_string v] under a versioned
-    header.  [v] must be pure data (no closures, no custom blocks). *)
+    header and its {!Digest}.  [v] must be pure data (no closures, no
+    custom blocks). *)
 val put_value : t -> key:string -> 'a -> unit
 
 (** [get_value t ~key] returns the stored value, or [None] when the key
-    is absent, the header does not match this build, or unmarshalling
-    fails.  The caller must request the same type that was stored —
+    is absent, the header does not match this build, the payload does
+    not match its digest, or unmarshalling fails.  The caller must request the same type that was stored —
     the store cannot check it (standard [Marshal] caveat); confine each
     key namespace to a single type. *)
 val get_value : t -> key:string -> 'a option

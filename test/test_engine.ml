@@ -12,10 +12,13 @@ module Shard = Engine.Shard
 (* Pool.                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Submit every thunk, then await each in order. *)
+let run_all pool fs = List.map Pool.await (List.map (Pool.submit pool) fs)
+
 let pool_many_tasks () =
   let pool = Pool.create 4 in
   let results =
-    Pool.run_all pool (List.init 1000 (fun i () -> i * i))
+    run_all pool (List.init 1000 (fun i () -> i * i))
   in
   check_bool "1000 task results in submission order" true
     (results = List.init 1000 (fun i -> i * i));
@@ -46,7 +49,7 @@ let pool_exception_propagation () =
    | _ -> Alcotest.fail "await should re-raise the task's exception"
    | exception Boom 42 -> ());
   (* the worker that ran the raising task must survive *)
-  let results = Pool.run_all pool (List.init 64 (fun i () -> i + 1)) in
+  let results = run_all pool (List.init 64 (fun i () -> i + 1)) in
   check_bool "pool usable after a task raised" true
     (results = List.init 64 (fun i -> i + 1));
   Pool.shutdown pool;
@@ -59,7 +62,7 @@ let pool_exception_propagation () =
 let pool_serial_degenerate () =
   (* a 1-slot pool spawns no domains; awaits run everything inline *)
   let pool = Pool.create 1 in
-  let results = Pool.run_all pool (List.init 50 (fun i () -> 2 * i)) in
+  let results = run_all pool (List.init 50 (fun i () -> 2 * i)) in
   check_bool "1-slot pool is the serial semantics" true
     (results = List.init 50 (fun i -> 2 * i));
   Pool.shutdown pool
@@ -96,15 +99,83 @@ let shard_ranges () =
   done
 
 let shard_map_ordering () =
-  let pool = Pool.create 4 in
-  let xs = List.init 200 (fun i -> i) in
-  check_bool "map_list preserves input order" true
-    (Shard.map_list pool (fun x -> x * 3) xs = List.map (fun x -> x * 3) xs);
+  Pool.set_jobs 4;
   let arr = Array.init 1000 (fun i -> i) in
-  let chunks = Shard.map_chunks pool ~shards:7 (fun sub -> Array.to_list sub) arr in
-  check_bool "map_chunks concatenates back to the input" true
-    (List.concat (Array.to_list chunks) = Array.to_list arr);
-  Pool.shutdown pool
+  List.iter
+    (fun jobs ->
+      let chunks = Shard.map_chunks ~jobs (fun sub -> Array.to_list sub) arr in
+      check_int (Printf.sprintf "map_chunks ~jobs:%d chunk count" jobs) jobs
+        (Array.length chunks);
+      check_bool "map_chunks concatenates back to the input" true
+        (List.concat (Array.to_list chunks) = Array.to_list arr))
+    [ 1; 7 ];
+  check_bool "a single chunk is the input itself" true
+    ((Shard.map_chunks ~jobs:1 Fun.id arr).(0) == arr)
+
+(* The one fan-out primitive: inline at one job (no pool task, the
+   caller's domain), input order at several, and a stop predicate that
+   withdraws the tasks not yet started. *)
+let shard_map_inline_ordered_withdrawn () =
+  Pool.set_jobs 2;
+  let tasks () =
+    match Pool.global_stats () with Some s -> s.Pool.ps_tasks | None -> 0
+  in
+  let self = (Domain.self () :> int) in
+  let before = tasks () in
+  let ran = Atomic.make 0 in
+  let inline =
+    Shard.map ~jobs:1
+      ~stop:(fun () -> Atomic.get ran >= 3)
+      (fun x ->
+        Atomic.incr ran;
+        ((Domain.self () :> int), x * 2))
+      (Array.init 5 Fun.id)
+  in
+  check_int "one job submits nothing to the pool" before (tasks ());
+  check_bool "one job runs in the caller, stopping after three items" true
+    (inline
+     = [| Some (self, 0); Some (self, 2); Some (self, 4); None; None |]);
+  let xs = Array.init 500 (fun i -> i) in
+  (* uneven work, so tasks finish out of order *)
+  let spin x =
+    let acc = ref 0 in
+    for k = 0 to (x * 7919) mod 5000 do acc := !acc + k done;
+    ignore (Sys.opaque_identity !acc);
+    x * x
+  in
+  check_bool "four jobs return results in input order" true
+    (Shard.map ~jobs:4 spin xs = Array.map (fun x -> Some (x * x)) xs);
+  (* the pool's one worker takes item 0 and holds it until the other
+     seven are cancelled, so exactly those seven are withdrawn *)
+  let started = Atomic.make false in
+  let cancelled () =
+    match Pool.global_stats () with Some s -> s.Pool.ps_cancelled | None -> 0
+  in
+  let base = cancelled () in
+  let calls = Atomic.make 0 in
+  let asks = Atomic.make 0 in
+  let r =
+    Shard.map ~jobs:2
+      ~stop:(fun () ->
+        (* the first ask precedes submission; later ones wait until the
+           worker holds item 0 *)
+        Atomic.fetch_and_add asks 1 > 0
+        && begin
+          while not (Atomic.get started) do Domain.cpu_relax () done;
+          true
+        end)
+      (fun x ->
+        Atomic.incr calls;
+        if x = 0 then begin
+          Atomic.set started true;
+          while cancelled () < base + 7 do Domain.cpu_relax () done
+        end;
+        x)
+      (Array.init 8 Fun.id)
+  in
+  check_bool "the started task finishes, the queued ones are withdrawn" true
+    (r = Array.append [| Some 0 |] (Array.make 7 None));
+  check_int "withdrawn tasks never ran" 1 (Atomic.get calls)
 
 (* ------------------------------------------------------------------ *)
 (* Clock.                                                              *)
@@ -149,35 +220,43 @@ let fsim_sharded_matches_serial () =
   in
   let observe = Atpg.Fsim.default_observe in
   Pool.set_jobs 4;
-  (* enough faults that run_sharded really shards instead of falling
-     back to the serial path *)
+  (* enough faults that [jobs] really shards instead of leaving one
+     shard *)
   check_bool "fault list large enough to shard" true
     (List.length faults >= 128);
   let serial = Atpg.Fsim.run c ~observe ~faults tests in
-  List.iter
-    (fun (ename, engine) ->
-      let eserial = Atpg.Fsim.run ~engine c ~observe ~faults tests in
-      check_bool (ename ^ " agrees with the default engine") true
-        (eserial = serial);
-      List.iter
-        (fun jobs ->
-          check_bool
-            (Printf.sprintf "%s run_sharded ~jobs:%d = run" ename jobs)
-            true
-            (Atpg.Fsim.run_sharded ~engine ~jobs c ~observe ~faults tests
-             = eserial))
-        [ 1; 2; 3; 4 ])
-    [ ("packed", Atpg.Fsim.Packed);
-      ("event", Atpg.Fsim.Event);
-      ("reference", Atpg.Fsim.Reference) ];
   (* per-test entry point, all faults active *)
   let fault_arr = Array.of_list faults in
   let active = Array.init (Array.length fault_arr) Fun.id in
   let test = List.hd tests in
-  check_bool "run_test_sharded = run_test" true
-    (Atpg.Fsim.run_test_sharded ~jobs:4 c ~observe ~faults:fault_arr ~active
-       test
-     = Atpg.Fsim.run_test c ~observe ~faults:fault_arr ~active test)
+  let serial_test =
+    Atpg.Fsim.run_test c ~observe ~faults:fault_arr ~active test
+  in
+  List.iter
+    (fun (ename, engine) ->
+      let run jobs = Atpg.Fsim.run ~engine ~jobs c ~observe ~faults tests in
+      let run_test jobs =
+        Atpg.Fsim.run_test ~engine ~jobs c ~observe ~faults:fault_arr ~active
+          test
+      in
+      check_bool (ename ^ " agrees with the default engine") true
+        (run 1 = serial);
+      check_bool (ename ^ " run_test agrees with the default engine") true
+        (run_test 1 = serial_test);
+      List.iter
+        (fun jobs ->
+          check_bool
+            (Printf.sprintf "%s run ~jobs:%d = run ~jobs:1" ename jobs)
+            true (run jobs = serial);
+          check_bool
+            (Printf.sprintf "%s run_test ~jobs:%d = run_test ~jobs:1" ename
+               jobs)
+            true
+            (run_test jobs = serial_test))
+        [ 1; 2; 3; 4 ])
+    [ ("packed", Atpg.Fsim.Packed);
+      ("event", Atpg.Fsim.Event);
+      ("reference", Atpg.Fsim.Reference) ]
 
 (* Everything in a generation result except timings. *)
 let gen_key (r : Atpg.Gen.result) =
@@ -243,25 +322,9 @@ let make_flow_rows () =
   let env = Factor.Compose.make_env (parse hier_src) ~top:"top" in
   let session = Factor.Compose.create_session () in
   List.map
-      (fun (name, path) ->
-        let stats = Factor.Compose.compositional session env ~mut_path:path in
-        let tf =
-          Factor.Transform.build env stats.Factor.Compose.cs_slice
-            ~mut_path:path
-        in
-        { Factor.Flow.tr_name = name;
-          tr_standalone_faults =
-            Factor.Flow.standalone_fault_count env
-              { Factor.Flow.ms_name = name; ms_path = path };
-          tr_extraction_time = stats.Factor.Compose.cs_extraction_time;
-          tr_synthesis_time = tf.Factor.Transform.tf_synthesis_time;
-          tr_surrounding_gates = tf.Factor.Transform.tf_surrounding_gates;
-          tr_reduction_pct = 0.0;
-          tr_pi_bits = tf.Factor.Transform.tf_pi_bits;
-          tr_po_bits = tf.Factor.Transform.tf_po_bits;
-          tr_cache_hits = stats.Factor.Compose.cs_cache_hits;
-          tr_stats = stats;
-          tr_transformed = tf })
+    (fun (ms_name, ms_path) ->
+      Factor.Flow.transform env session Factor.Flow.Compositional
+        { Factor.Flow.ms_name; ms_path } ~surrounding_before:0)
     [ ("mut", "u_core.u_mut"); ("mut2", "u_core.u_mut2");
       ("mut3", "u_core.u_mut3") ]
 
@@ -281,6 +344,36 @@ let flow_parallel_deterministic () =
   let serial = String.concat "\n" (List.map row_text (flow_rows 1)) in
   let parallel = String.concat "\n" (List.map row_text (flow_rows 4)) in
   check_string "Table 5/6 rows identical at 1 and 4 jobs" serial parallel
+
+(* The Table 5/6 time column is the row's own time at any job count: two
+   rows generating side by side each report no more than the wall time
+   of the whole call (a process-CPU clock would count both domains). *)
+let flow_row_time_is_wall () =
+  Pool.set_jobs 2;
+  let sp = Circuits.Collection.scratchpad in
+  let env =
+    Factor.Compose.make_env (parse sp.Circuits.Collection.e_source)
+      ~top:sp.Circuits.Collection.e_top
+  in
+  let row =
+    Factor.Flow.transform env (Factor.Compose.create_session ())
+      Factor.Flow.Compositional
+      (List.hd sp.Circuits.Collection.e_muts) ~surrounding_before:0
+  in
+  (* the same row twice, all faults left to PODEM and SAT, so the two
+     generations overlap for most of the call *)
+  let cfg = { det_cfg with Atpg.Gen.g_random_batches = 0 } in
+  let t0 = Engine.Clock.now () in
+  let outcomes = Factor.Flow.transformed_atpg_all ~jobs:2 [ row; row ] cfg in
+  let wall = Engine.Clock.now () -. t0 in
+  let rows = Factor.Flow.completed_rows outcomes in
+  check_int "both rows completed" 2 (List.length rows);
+  List.iter
+    (fun (a : Factor.Flow.atpg_row) ->
+      if a.Factor.Flow.ar_testgen_time > wall then
+        Alcotest.failf "%s: test generation %.4f s > call wall %.4f s"
+          a.Factor.Flow.ar_name a.Factor.Flow.ar_testgen_time wall)
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Budget tokens.                                                      *)
@@ -598,6 +691,8 @@ let () =
         [
           test "ranges partition" shard_ranges;
           test "ordered maps" shard_map_ordering;
+          test "map: inline, ordered, withdrawn"
+            shard_map_inline_ordered_withdrawn;
         ] );
       ( "clock", [ test "monotonic" clock_monotonic ] );
       ( "determinism",
@@ -605,6 +700,7 @@ let () =
           test "sharded fsim = serial fsim" fsim_sharded_matches_serial;
           test "parallel atpg = serial atpg" gen_parallel_deterministic;
           test "mut-parallel flow = serial flow" flow_parallel_deterministic;
+          test "row time is the row's wall time at -j 2" flow_row_time_is_wall;
         ] );
       ( "isolation",
         [

@@ -29,42 +29,6 @@ let gates_match_interpreter gm =
       ok)
     (stimulus gm ~frames:6)
 
-(* Detection flags with per-test fault dropping via the straight-line
-   reference engine — the oracle both production engines must match. *)
-let reference_flags circuit ~observe ~faults tests =
-  let fault_arr = Array.of_list faults in
-  let n = Array.length fault_arr in
-  let ref_flags = Array.make n false in
-  List.iter
-    (fun test ->
-      let remaining = ref [] in
-      for i = n - 1 downto 0 do
-        if not ref_flags.(i) then remaining := i :: !remaining
-      done;
-      let rec batches = function
-        | [] -> ()
-        | l ->
-          let rec take k = function
-            | x :: rest when k > 0 ->
-              let (h, t) = take (k - 1) rest in
-              (x :: h, t)
-            | rest -> ([], rest)
-          in
-          let (batch, rest) = take 63 l in
-          let flags =
-            Atpg.Fsim.run_batch_reference circuit
-              ~faults:(List.map (fun i -> fault_arr.(i)) batch)
-              ~observe test
-          in
-          List.iter2
-            (fun i hit -> if hit then ref_flags.(i) <- true)
-            batch flags;
-          batches rest
-      in
-      batches !remaining)
-    tests;
-  ref_flags
-
 (* A fault simulator engine against the straight-line reference:
    identical detection flags on random circuits, fault lists and test
    sequences (random PIER loads and observations; flip-flops outside
@@ -90,7 +54,7 @@ let fsim_matches_reference ~engine gm =
           ~frames:(1 + Random.State.int rng 4) ~piers)
   in
   Atpg.Fsim.run ~engine circuit ~observe ~faults tests
-  = reference_flags circuit ~observe ~faults tests
+  = Atpg.Fsim.run ~engine:Atpg.Fsim.Reference circuit ~observe ~faults tests
 
 (* Word-boundary pattern counts for the packed engine: 1 (partial
    word), 63 (one lane short of full), 64 (word + 1), 65, 127 (two
@@ -119,7 +83,8 @@ let packed_word_boundaries gm =
       in
       Atpg.Fsim.run ~engine:Atpg.Fsim.Packed circuit ~observe ~faults
         tests
-      = reference_flags circuit ~observe ~faults tests)
+      = Atpg.Fsim.run ~engine:Atpg.Fsim.Reference circuit ~observe ~faults
+          tests)
     [ 1; 63; 64; 65; 127 ]
 
 let fuzz_tests =

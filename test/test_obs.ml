@@ -503,17 +503,18 @@ let concurrent_updates () =
   let hbase = Obs.Metrics.count h in
   Obs.Span.clear ();
   Obs.Span.set_enabled true;
-  let pool = Engine.Pool.create 4 in
+  Engine.Pool.set_jobs 4;
   ignore
-    (Engine.Pool.run_all pool
-       (List.init 4 (fun d () ->
-            Obs.Span.with_ "par.task" (fun () ->
-                for i = 1 to 100_000 do
-                  Obs.Metrics.incr c;
-                  if i land 1023 = 0 then
-                    Obs.Metrics.observe h (float_of_int (d + 1))
-                done))));
-  Engine.Pool.shutdown pool;
+    (Engine.Shard.map ~jobs:4
+       (fun d ->
+         Obs.Span.with_ "par.task" (fun () ->
+             for i = 1 to 100_000 do
+               Obs.Metrics.incr c;
+               if i land 1023 = 0 then
+                 Obs.Metrics.observe h (float_of_int (d + 1))
+             done))
+       (Array.init 4 Fun.id)
+     : unit option array);
   Obs.Span.set_enabled false;
   check_int "4 x 100k concurrent increments all land" 400_000
     (Obs.Metrics.value c - base);

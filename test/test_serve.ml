@@ -424,6 +424,45 @@ let cache_lru_eviction () =
   check_bool "storeless evicted gcd is cold again" true
     (lookup t3 gcd_source gcd_top = Serve.Cache.Cold)
 
+(* Bytes flipped inside a cached session whose header is intact: the
+   payload would still unmarshal, just not into what was stored, so the
+   restarted cache must rebuild cold — neither crash nor return a
+   warm-disk hit — and the rebuild must leave a good blob behind. *)
+let cache_corrupt_blob_is_cold () =
+  let dir = tmpdir "factor-corrupt" in
+  let lookup t =
+    snd
+      (Serve.Cache.find_or_build t ~budget:Engine.Budget.none
+         ~source:gcd_source ~top:(Some gcd_top))
+  in
+  let restart () = Serve.Cache.create ~store:(Serve.Store.open_ dir) () in
+  check_bool "first lookup is cold" true (lookup (restart ()) = Serve.Cache.Cold);
+  let blob =
+    match
+      List.filter
+        (String.starts_with ~prefix:"full-")
+        (Array.to_list (Sys.readdir dir))
+    with
+    | [ f ] -> Filename.concat dir f
+    | _ -> Alcotest.fail "expected exactly one session blob"
+  in
+  let s = In_channel.with_open_bin blob In_channel.input_all in
+  (* the last copy of the top module's name, deep in the payload *)
+  let rec last_at i =
+    if i < 0 then Alcotest.fail "top name not found in the blob"
+    else if String.sub s i (String.length gcd_top) = gcd_top then i
+    else last_at (i - 1)
+  in
+  let at = last_at (String.length s - String.length gcd_top) in
+  let b = Bytes.of_string s in
+  Bytes.set b at 'G';
+  Bytes.set b (at + 1) 'C';
+  Out_channel.with_open_bin blob (fun oc -> Out_channel.output_bytes oc b);
+  check_bool "corrupted blob is a cold miss" true
+    (lookup (restart ()) = Serve.Cache.Cold);
+  check_bool "the rebuild rewrote a good blob" true
+    (lookup (restart ()) = Serve.Cache.Warm_disk)
+
 let cache_budget_expiry () =
   let t = Serve.Cache.create () in
   let dead = Engine.Budget.make ~deadline_in:0.0 () in
@@ -852,6 +891,7 @@ let () =
           test "cold, warm-mem, warm-disk, bit-identical" cache_outcomes;
           test "budget guards cold builds only" cache_budget_expiry;
           test "max-resident LRU evicts to warm-disk" cache_lru_eviction;
+          test "corrupted blob is a cold miss" cache_corrupt_blob_is_cold;
         ] );
       ( "daemon",
         [
