@@ -880,10 +880,7 @@ let bench_fsim () =
    packing or dropping logic degraded). *)
 let bench_fsim_smoke () =
   let ed = Design.Elaborate.elaborate (Arm.Rtl.design ()) ~top:"arm_alu" in
-  let c =
-    (Synth.Lower.lower (Synth.Flatten.flatten ed "arm_alu"))
-      .Synth.Lower.circuit
-  in
+  let c = Synth.Lower.circuit_of ed "arm_alu" in
   let (speedup_wall, speedup_evals) =
     bench_fsim_on ~name:"arm_alu" c ~num_tests:126
   in
@@ -967,10 +964,7 @@ let bench_sat () =
    equivalence proof of an optimizer rebuild. *)
 let bench_sat_smoke () =
   let ed = Design.Elaborate.elaborate (Arm.Rtl.design ()) ~top:"arm_alu" in
-  let c =
-    (Synth.Lower.lower (Synth.Flatten.flatten ed "arm_alu"))
-      .Synth.Lower.circuit
-  in
+  let c = Synth.Lower.circuit_of ed "arm_alu" in
   let faults = Atpg.Fault.collapse c (Atpg.Fault.all c) in
   let stats = ref Sat.Solver.zero_stats in
   let cubes = ref 0 in
@@ -1128,10 +1122,7 @@ let bench_par () =
    sharded fault simulation must reproduce the serial results exactly. *)
 let bench_par_smoke () =
   let ed = Design.Elaborate.elaborate (Arm.Rtl.design ()) ~top:"arm_alu" in
-  let c =
-    (Synth.Lower.lower (Synth.Flatten.flatten ed "arm_alu"))
-      .Synth.Lower.circuit
-  in
+  let c = Synth.Lower.circuit_of ed "arm_alu" in
   let faults = Atpg.Fault.collapse c (Atpg.Fault.all c) in
   let cfg =
     { module_cfg with
@@ -1366,11 +1357,7 @@ let direct_atpg name =
       (Verilog.Parser.parse_design e.Circuits.Collection.e_source)
       ~top:e.Circuits.Collection.e_top
   in
-  let c =
-    (Synth.Lower.lower
-       (Synth.Flatten.flatten ed e.Circuits.Collection.e_top))
-      .Synth.Lower.circuit
-  in
+  let c = Synth.Lower.circuit_of ed e.Circuits.Collection.e_top in
   let faults = Atpg.Fault.collapse c (Atpg.Fault.all c) in
   let cfg =
     { Atpg.Gen.default_config with g_total_budget = 60.0; g_jobs = 1 }

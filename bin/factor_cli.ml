@@ -23,22 +23,21 @@ let parse_with_file file src =
      | None -> raise e)
 
 (* "@arm" selects the bundled processor; "@gcd", "@fifo", "@arbiter",
-   "@traffic", "@dma" select corpus designs; anything else is a file. *)
+   "@traffic", "@dma" select corpus designs (see [Serve.Ops.bundled]);
+   anything else is a file.  Returns the source text and top module. *)
+let bundled path =
+  match Serve.Ops.bundled path with
+  | Some b -> b
+  | None ->
+    Printf.eprintf "unknown bundled design %s (have: arm, %s)\n" path
+      (String.concat ", "
+         (List.map
+            (fun e -> e.Circuits.Collection.e_name)
+            Circuits.Collection.all));
+    exit 1
+
 let read_design path =
-  if path = "@arm" then Arm.Rtl.design ()
-  else if String.length path > 1 && path.[0] = '@' then begin
-    let name = String.sub path 1 (String.length path - 1) in
-    match Circuits.Collection.find name with
-    | entry ->
-      parse_with_file path entry.Circuits.Collection.e_source
-    | exception Not_found ->
-      Printf.eprintf "unknown bundled design %s (have: arm, %s)\n" path
-        (String.concat ", "
-           (List.map
-              (fun e -> e.Circuits.Collection.e_name)
-              Circuits.Collection.all));
-      exit 1
-  end
+  if Serve.Ops.is_bundled path then parse_with_file path (fst (bundled path))
   else begin
     let ic =
       try open_in_bin path with
@@ -220,10 +219,7 @@ let resolve_top design path top =
   match top with
   | Some t -> t
   | None ->
-    if path = "@arm" then Arm.Rtl.top
-    else if String.length path > 1 && path.[0] = '@' then
-      (Circuits.Collection.find (String.sub path 1 (String.length path - 1)))
-        .Circuits.Collection.e_top
+    if Serve.Ops.is_bundled path then snd (bundled path)
     else
       (match List.rev design.Verilog.Ast.modules with
        | last :: _ -> last.Verilog.Ast.mod_name
@@ -379,8 +375,7 @@ let atpg_cmd =
         let design = read_design path in
         let top = resolve_top design path top in
         let ed = Design.Elaborate.elaborate design ~top in
-        let flat = Synth.Flatten.flatten ed top in
-        let c = (Synth.Lower.lower flat).Synth.Lower.circuit in
+        let c = Synth.Lower.circuit_of ed top in
         let faults =
           Obs.Span.with_ "faults" (fun () ->
               Atpg.Fault.collapse c (Atpg.Fault.all ?within:mut c))
@@ -446,9 +441,7 @@ let sat_cmd =
         let design = read_design path in
         let top = resolve_top design path top in
         let ed = Design.Elaborate.elaborate design ~top in
-        let c =
-          (Synth.Lower.lower (Synth.Flatten.flatten ed top)).Synth.Lower.circuit
-        in
+        let c = Synth.Lower.circuit_of ed top in
         let faults = Atpg.Fault.collapse c (Atpg.Fault.all ?within:mut c) in
         let t0 = Engine.Clock.now () in
         let stats = ref Sat.Solver.zero_stats in
@@ -499,8 +492,7 @@ let analyze_cmd =
         print_string (Factor.Testability.report_to_string report);
         (* SCOAP testability measures of the module inside the chip *)
         let ed = env.Factor.Compose.ed in
-        let flat = Synth.Flatten.flatten ed ed.Design.Elaborate.ed_top in
-        let c = (Synth.Lower.lower flat).Synth.Lower.circuit in
+        let c = Synth.Lower.circuit_of ed ed.Design.Elaborate.ed_top in
         let scoap = Atpg.Scoap.compute c in
         let summary = Atpg.Scoap.summarize ~within:mut c scoap in
         Printf.printf
@@ -544,9 +536,7 @@ let grade_cmd =
         let design = read_design path in
         let top = resolve_top design path top in
         let ed = Design.Elaborate.elaborate design ~top in
-        let c =
-          (Synth.Lower.lower (Synth.Flatten.flatten ed top)).Synth.Lower.circuit
-        in
+        let c = Synth.Lower.circuit_of ed top in
         let tests =
           try Atpg.Pattern.read_file vec_file with
           | Atpg.Pattern.Parse_error msg ->

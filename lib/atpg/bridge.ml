@@ -44,14 +44,14 @@ let candidates ?within ~rng ~count c =
           b_net2 = other ();
           b_kind = (if i mod 2 = 0 then Wired_and else Wired_or) })
 
-(* Simulate one test against up to 63 bridges (parallel-fault): after a
-   net's value is computed, columns carrying a bridge on it see the
-   wired combination with the partner's value.  Each frame is evaluated
+(* Simulate one test against up to [Fsim.columns] bridges
+   (parallel-fault): after a net's value is computed, columns carrying a
+   bridge on it see the wired combination with the partner's value.  Each frame is evaluated
    twice so the topologically earlier net also sees its partner — two
    relaxation passes settle exactly for pairs that do not feed back
    through each other. *)
 let run_batch c ~observe bridges (test : Pattern.test) =
-  assert (List.length bridges <= 63);
+  assert (List.length bridges <= Fsim.columns);
   (* a fresh simulator: the first pass of frame 0 reads X from partners
      that come later in the evaluation order *)
   let sim = Sim.Eval.create c in
@@ -70,7 +70,7 @@ let run_batch c ~observe bridges (test : Pattern.test) =
       (fun v (col, partner, kind) ->
         let own = L.get v col in
         let bridged =
-          match (kind, own, L.get sim.Sim.Eval.values.(partner) col) with
+          match (kind, own, L.get (Sim.Eval.value sim partner) col) with
           | (_, None, _) | (_, _, None) -> own
           | (Wired_and, Some a, Some b) -> Some (a && b)
           | (Wired_or, Some a, Some b) -> Some (a || b)

@@ -2,15 +2,20 @@
     with bit-identical detection flags:
 
     - [Packed] (default): PPSFP — up to [Sim.Packed.width] test patterns
-      ride the lanes of a native word, the good circuit is simulated
-      once per word, and each fault is event-driven through the word
-      with two-mask injection.
-    - [Event]: parallel-fault — bit column 0 of a {!Sim.Logic3} word
-      carries the good circuit, columns 1..63 one faulty circuit each,
-      one test at a time.
+      ride the lanes of a {!Sim.Logic3} word, the good machine is
+      simulated once per word, and each fault drains through the word.
+    - [Event]: parallel-fault — one test, its good machine broadcast
+      across the lanes, one fault per lane, up to [Sim.Packed.width]
+      faults per drain.
     - [Reference]: the straight-line oracle — every net re-evaluated on
       every frame ({!run_batch_reference}); differential-testing and
       benchmark baseline.
+
+    [Packed] and [Event] share one levelized event-driven drain: the good
+    machine's per-frame planes come from {!Sim.Eval}, faults are injected
+    through per-net lane masks, and only nets whose value diverges from
+    the good planes are re-evaluated.  The two engines differ only in
+    what the lanes carry.
 
     Flip-flops start at X except loaded PIER registers, so detection is
     exactly as conservative as chip-level pattern translation
@@ -35,13 +40,17 @@ val default_observe : observe
     others are differential oracles and baselines. *)
 type engine_kind = Packed | Event | Reference
 
-(** {1 Three-valued parallel-fault simulation}
+(** {1 Three-valued parallel-fault simulation with a good column}
 
     One {!Sim.Logic3} word per net: column 0 carries the good circuit,
-    columns 1..63 one faulty circuit each, injected through a
+    columns 1..{!columns} one faulty circuit each, injected through a
     {!Sim.Eval.hook}.  The reference oracle below and the other fault
     models ({!Transition}, {!Bridge}, {!Simgen}) all simulate this
     way. *)
+
+(** Faulty columns per word next to the good column 0:
+    [Sim.Packed.width - 1]. *)
+val columns : int
 
 (** [simulate ?hook ?passes ?on_frame sim ~observe test] applies [test]
     to [sim]: flip-flops start at X except the PIER loads, each frame is
@@ -52,19 +61,19 @@ type engine_kind = Packed | Event | Reference
     from column 0 at an observation point. *)
 val simulate :
   ?hook:Sim.Eval.hook -> ?passes:int -> ?on_frame:(int -> unit) ->
-  Sim.Eval.t -> observe:observe -> Pattern.test -> int64
+  Sim.Eval.t -> observe:observe -> Pattern.test -> int
 
 (** [batch_coverage ~simulate_batch items tests] = percentage of [items]
     detected by [tests].  Each test is simulated against the items it
-    has not yet detected, in batches of at most 63:
+    has not yet detected, in batches of at most {!columns}:
     [simulate_batch batch test] must carry the [k]-th item of [batch] in
     column [k + 1] and return the {!simulate} mask. *)
 val batch_coverage :
-  simulate_batch:('a list -> Pattern.test -> int64) -> 'a list ->
+  simulate_batch:('a list -> Pattern.test -> int) -> 'a list ->
   Pattern.test list -> float
 
 (** [run_batch_reference c ~faults ~observe test] simulates one test
-    against at most 63 stuck-at faults by straight-line evaluation of
+    against at most {!columns} stuck-at faults by straight-line evaluation of
     every net on every frame; the result aligns with [faults]. *)
 val run_batch_reference :
   Netlist.t -> faults:Fault.t list -> observe:observe -> Pattern.test ->
@@ -73,8 +82,9 @@ val run_batch_reference :
 (** [run_test ?jobs c ~observe ~faults ~active test] simulates one test
     against [faults.(i)] for each [i] in [active]; the result aligns
     with [active].  A single test offers only one pattern lane, so
-    [Packed] falls back to the event-driven engine here (already 63
-    faults per word); [~engine:Reference] forces the oracle.
+    [Packed] falls back to [Event] here: the test's good machine fills
+    every lane and each lane carries one fault, [Sim.Packed.width]
+    faults per drain; [~engine:Reference] forces the oracle.
 
     [jobs] (default 1) shards the active faults over the global domain
     pool through {!Engine.Shard}: disjoint contiguous slices, one

@@ -29,7 +29,7 @@ let all ?within c =
    carries fault i, whose site outputs the previous cycle's good value
    whenever the faulty transition direction occurred this cycle. *)
 let run_batch c ~observe faults (test : Pattern.test) =
-  assert (List.length faults <= 63);
+  assert (List.length faults <= Fsim.columns);
   let hooked = Array.make (N.num_nets c) false in
   let table = Hashtbl.create 16 in
   List.iteri

@@ -32,8 +32,7 @@ type characteristics = {
 let full_circuit (env : Compose.env) =
   Obs.Span.with_ "flow.full_circuit" @@ fun () ->
   let ed = env.Compose.ed in
-  let flat = Synth.Flatten.flatten ed ed.Design.Elaborate.ed_top in
-  (Synth.Lower.lower flat).Synth.Lower.circuit
+  Synth.Lower.circuit_of ed ed.Design.Elaborate.ed_top
 
 let characteristics env ~full spec =
   let node = H.find_path env.Compose.tree spec.ms_path in
@@ -78,8 +77,7 @@ type transform_row = {
 let standalone_fault_count env spec =
   let node = H.find_path env.Compose.tree spec.ms_path in
   let ed = env.Compose.ed in
-  let flat = Synth.Flatten.flatten ed node.H.nd_module in
-  let c = (Synth.Lower.lower flat).Synth.Lower.circuit in
+  let c = Synth.Lower.circuit_of ed node.H.nd_module in
   List.length (Atpg.Fault.collapse c (Atpg.Fault.all c))
 
 let transform ?budget env session mode spec ~surrounding_before =
@@ -137,8 +135,7 @@ let standalone_atpg env spec cfg =
   @@ fun () ->
   let node = H.find_path env.Compose.tree spec.ms_path in
   let ed = env.Compose.ed in
-  let flat = Synth.Flatten.flatten ed node.H.nd_module in
-  let c = (Synth.Lower.lower flat).Synth.Lower.circuit in
+  let c = Synth.Lower.circuit_of ed node.H.nd_module in
   let faults = Atpg.Fault.collapse c (Atpg.Fault.all c) in
   let r = Atpg.Gen.run c cfg faults in
   { ar_name = spec.ms_name;

@@ -17,8 +17,10 @@ type metric =
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
 let registry_lock = Mutex.create ()
 
-(* Seconds-scale latency bounds: 1 µs .. ~524 s, doubling. *)
-let default_buckets = Array.init 30 (fun i -> 1e-6 *. Float.pow 2.0 (float_of_int i))
+(* Seconds-scale latency bounds: 1 µs .. ~537 s, four per octave, so a
+   bucket's upper bound overstates any value in it by under 19%. *)
+let default_buckets =
+  Array.init 117 (fun i -> 1e-6 *. Float.pow 2.0 (float_of_int i /. 4.0))
 
 let intern name make project kind =
   Mutex.protect registry_lock (fun () ->
@@ -85,11 +87,15 @@ let rec cas_update cell f =
   if not (Atomic.compare_and_set cell old (f old)) then cas_update cell f
 
 let observe h v =
-  let nb = Array.length h.h_bounds in
-  let rec bucket i =
-    if i >= nb || v <= h.h_bounds.(i) then i else bucket (i + 1)
+  (* binary search for the first bound >= v; none (or NaN) = overflow *)
+  let rec bucket lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if v <= h.h_bounds.(mid) then bucket lo mid else bucket (mid + 1) hi
   in
-  ignore (Atomic.fetch_and_add h.h_counts.(bucket 0) 1);
+  ignore
+    (Atomic.fetch_and_add h.h_counts.(bucket 0 (Array.length h.h_bounds)) 1);
   cas_update h.h_sum (fun s -> s +. v);
   cas_update h.h_max (fun m -> if v > m then v else m)
 
@@ -112,7 +118,8 @@ let percentile_of ~bounds ~counts ~max_v p =
       if i >= nb then max_v
       else
         let seen = seen + counts.(i) in
-        if seen >= rank then bounds.(i) else walk (i + 1) seen
+        if seen >= rank then Float.min bounds.(i) max_v
+        else walk (i + 1) seen
     in
     walk 0 0
   end

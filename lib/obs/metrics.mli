@@ -38,8 +38,10 @@ val get : gauge -> float
 
 (** [histogram ?buckets name] interns a histogram with the given strictly
     increasing bucket upper bounds (default: exponential bounds suited to
-    seconds-scale latencies, 1 µs to ~500 s).  Observations above the
-    last bound land in an overflow bucket. *)
+    seconds-scale latencies, 1 µs to ~537 s, four per octave — ratio
+    2{^ 1/4} — so a default-bucket {!percentile} overstates the true one
+    by under 19%).  Observations above the last bound land in an
+    overflow bucket. *)
 val histogram : ?buckets:float array -> string -> histogram
 
 val observe : histogram -> float -> unit
@@ -47,10 +49,11 @@ val count : histogram -> int
 val sum : histogram -> float
 
 (** [percentile h p] (with [0 < p <= 100]) returns the upper bound of the
-    bucket containing the [p]-th percentile observation — exact when the
-    bucket bounds enumerate the observed values, otherwise an upper
-    estimate.  Overflow observations report the maximum observed value.
-    Returns [0.] when the histogram is empty. *)
+    bucket containing the [p]-th percentile observation, capped at the
+    maximum observed value — exact when the bucket bounds enumerate the
+    observed values, otherwise an upper estimate.  Overflow observations
+    report the maximum observed value.  Returns [0.] when the histogram
+    is empty. *)
 val percentile : histogram -> float -> float
 
 (** Snapshot of the whole registry as a JSON object keyed by metric name,

@@ -289,8 +289,7 @@ let circuit e =
     c
   | None ->
     let ed = (e.e_env : Compose.env).Compose.ed in
-    let flat = Synth.Flatten.flatten ed e.e_top in
-    let c = (Synth.Lower.lower flat).Synth.Lower.circuit in
+    let c = Synth.Lower.circuit_of ed e.e_top in
     Mutex.protect e.e_lock (fun () ->
         if e.e_circuit = None then e.e_circuit <- Some c);
     persist_entry e;

@@ -51,19 +51,27 @@ let bool_default name ~default params =
   | Some b -> b
   | None -> default
 
+let is_bundled d = String.length d > 1 && d.[0] = '@'
+
+let bundled d =
+  if d = "@arm" then Some (Arm.Rtl.source, Arm.Rtl.top)
+  else if is_bundled d then
+    match Circuits.Collection.find (String.sub d 1 (String.length d - 1)) with
+    | e -> Some (e.Circuits.Collection.e_source, e.Circuits.Collection.e_top)
+    | exception Not_found -> None
+  else None
+
 (* Resolve the design parameters of [params] to (source text, top
    option).  Bundled names resolve to the embedded sources, so their
    cache identity is the same content hash as an equivalent [source]
    request. *)
 let design_source params =
   match str_opt "design" params with
-  | Some "@arm" -> (Arm.Rtl.source, Some Arm.Rtl.top)
-  | Some d when String.length d > 1 && d.[0] = '@' ->
-    let name = String.sub d 1 (String.length d - 1) in
-    (match Circuits.Collection.find name with
-     | e -> (e.Circuits.Collection.e_source, Some e.Circuits.Collection.e_top)
-     | exception Not_found -> bad "unknown bundled design %S" d)
-  | Some d -> bad "bad design %S (expected '@arm' or a corpus '@name')" d
+  | Some d ->
+    (match bundled d with
+     | Some (source, top) -> (source, Some top)
+     | None when is_bundled d -> bad "unknown bundled design %S" d
+     | None -> bad "bad design %S (expected '@arm' or a corpus '@name')" d)
   | None ->
     (match str_opt "source" params with
      | Some src -> (src, str_opt "top" params)

@@ -28,6 +28,16 @@
     {!Engine.Chaos.Injected} — and the server maps the exception to an
     error response for that request only. *)
 
+(** [is_bundled d]: [d] has the form of a bundled design reference,
+    ["@name"]. *)
+val is_bundled : string -> bool
+
+(** [bundled d] resolves a bundled design reference — ["@arm"] or a
+    corpus ["@name"] — to its (source text, top module); [None] when [d]
+    names no bundled design.  The one resolver of the daemon's
+    ["design"] parameter and the CLI's design argument. *)
+val bundled : string -> (string * string) option
+
 type ctx
 
 (** [make_ctx ?store ?max_resident ?default_budget ()] —

@@ -1,6 +1,7 @@
-(** Levelized compiled simulation of a gate-level netlist: 64 patterns in
-    parallel, three-valued, with sequential stepping for clocked
-    designs. *)
+(** Levelized compiled simulation of a gate-level netlist: a word of
+    {!Logic3} lanes in parallel, three-valued, with sequential stepping
+    for clocked designs.  Values live in dual-rail planes of native ints,
+    so a sweep allocates nothing per gate. *)
 
 module N = Netlist
 module L = Logic3
@@ -8,8 +9,10 @@ module L = Logic3
 type t = {
   circuit : N.t;
   order : int array;            (** topological evaluation order *)
-  values : L.t array;           (** per net *)
-  state : L.t array;            (** per flip-flop *)
+  hi : int array;               (** per net: lanes known 1 *)
+  lo : int array;               (** per net: lanes known 0 *)
+  st_hi : int array;            (** per flip-flop: lanes known 1 *)
+  st_lo : int array;            (** per flip-flop: lanes known 0 *)
 }
 
 (* A per-net injection hook: [at net v] receives the value just computed
@@ -21,67 +24,99 @@ type hook = {
 
 (** [create c] builds a simulator with all flip-flops initialized to X. *)
 let create circuit =
+  let n = N.num_nets circuit and nff = N.num_ffs circuit in
   { circuit;
     order = (N.analysis circuit).N.Analysis.order;
-    values = Array.make (N.num_nets circuit) L.x;
-    state = Array.make (N.num_ffs circuit) L.x }
+    hi = Array.make n 0;
+    lo = Array.make n 0;
+    st_hi = Array.make nff 0;
+    st_lo = Array.make nff 0 }
 
-let reset_state sim = Array.fill sim.state 0 (Array.length sim.state) L.x
+let fill_state sim h l =
+  Array.fill sim.st_hi 0 (Array.length sim.st_hi) h;
+  Array.fill sim.st_lo 0 (Array.length sim.st_lo) l
+
+let reset_state sim = fill_state sim 0 0
 
 (** Force every flip-flop to zero (reference-model comparisons). *)
-let zero_state sim = Array.fill sim.state 0 (Array.length sim.state) L.zero
+let zero_state sim = fill_state sim 0 (-1)
 
-(* The three-valued gate rule: a net's value from its fanins' values. *)
-let[@inline] gate sim (pi_values : L.t array) net =
-  let v = sim.values in
+let set_state sim ff (v : L.t) =
+  sim.st_hi.(ff) <- v.L.hi;
+  sim.st_lo.(ff) <- v.L.lo
+
+(* The three-valued gate rule: store a net's value from its fanins'. *)
+let[@inline] gate sim (pis : L.t array) net =
+  let h = sim.hi and l = sim.lo in
   match sim.circuit.N.drv.(net) with
-  | N.Pi i -> pi_values.(i)
-  | N.Ff i -> sim.state.(i)
-  | N.C0 -> L.zero
-  | N.C1 -> L.one
-  | N.G1 (N.Inv, a) -> L.v_not v.(a)
-  | N.G1 (N.Buff, a) -> v.(a)
-  | N.G2 (N.And, a, b) -> L.v_and v.(a) v.(b)
-  | N.G2 (N.Or, a, b) -> L.v_or v.(a) v.(b)
-  | N.G2 (N.Xor, a, b) -> L.v_xor v.(a) v.(b)
-  | N.G2 (N.Nand, a, b) -> L.v_not (L.v_and v.(a) v.(b))
-  | N.G2 (N.Nor, a, b) -> L.v_not (L.v_or v.(a) v.(b))
-  | N.G2 (N.Xnor, a, b) -> L.v_not (L.v_xor v.(a) v.(b))
-  | N.Mux (s, a, b) -> L.v_mux v.(s) v.(a) v.(b)
+  | N.Pi i -> h.(net) <- pis.(i).L.hi; l.(net) <- pis.(i).L.lo
+  | N.Ff i -> h.(net) <- sim.st_hi.(i); l.(net) <- sim.st_lo.(i)
+  | N.C0 -> h.(net) <- 0; l.(net) <- -1
+  | N.C1 -> h.(net) <- -1; l.(net) <- 0
+  | N.G1 (N.Inv, a) -> h.(net) <- l.(a); l.(net) <- h.(a)
+  | N.G1 (N.Buff, a) -> h.(net) <- h.(a); l.(net) <- l.(a)
+  | N.G2 (N.And, a, b) ->
+    h.(net) <- h.(a) land h.(b);
+    l.(net) <- l.(a) lor l.(b)
+  | N.G2 (N.Or, a, b) ->
+    h.(net) <- h.(a) lor h.(b);
+    l.(net) <- l.(a) land l.(b)
+  | N.G2 (N.Xor, a, b) ->
+    h.(net) <- (h.(a) land l.(b)) lor (l.(a) land h.(b));
+    l.(net) <- (h.(a) land h.(b)) lor (l.(a) land l.(b))
+  | N.G2 (N.Nand, a, b) ->
+    h.(net) <- l.(a) lor l.(b);
+    l.(net) <- h.(a) land h.(b)
+  | N.G2 (N.Nor, a, b) ->
+    h.(net) <- l.(a) land l.(b);
+    l.(net) <- h.(a) lor h.(b)
+  | N.G2 (N.Xnor, a, b) ->
+    h.(net) <- (h.(a) land h.(b)) lor (l.(a) land l.(b));
+    l.(net) <- (h.(a) land l.(b)) lor (l.(a) land h.(b))
+  | N.Mux (s, a, b) ->
+    h.(net) <- (h.(s) land h.(b)) lor (l.(s) land h.(a)) lor (h.(a) land h.(b));
+    l.(net) <- (h.(s) land l.(b)) lor (l.(s) land l.(a)) lor (l.(a) land l.(b))
 
-(** Evaluate combinational logic for the given PI values (one [L.t] per
-    primary input, 64 patterns wide), passing every hooked net's value
-    through the hook. *)
-let eval ?hook sim (pi_values : L.t array) =
-  let order = sim.order and v = sim.values in
+(** Current value of a net (after [eval]). *)
+let value sim net = { L.hi = sim.hi.(net); lo = sim.lo.(net) }
+
+(** Evaluate combinational logic for the given PI values (one word per
+    primary input), passing every hooked net's value through the
+    hook. *)
+let eval ?hook sim (pis : L.t array) =
+  let order = sim.order in
   match hook with
   | None ->
     for k = 0 to Array.length order - 1 do
-      let net = order.(k) in
-      v.(net) <- gate sim pi_values net
+      gate sim pis order.(k)
     done
   | Some h ->
     for k = 0 to Array.length order - 1 do
       let net = order.(k) in
-      let x = gate sim pi_values net in
-      v.(net) <- (if h.hooked.(net) then h.at net x else x)
+      gate sim pis net;
+      if h.hooked.(net) then begin
+        let v = h.at net (value sim net) in
+        sim.hi.(net) <- v.L.hi;
+        sim.lo.(net) <- v.L.lo
+      end
     done
 
-(** Current value of a net (after [eval]). *)
-let value sim net = sim.values.(net)
-
 (** Values observed at the primary outputs. *)
-let outputs sim = Array.map (fun net -> sim.values.(net)) sim.circuit.N.pos
+let outputs sim = Array.map (value sim) sim.circuit.N.pos
 
 (** Advance one clock cycle in place: capture every flip-flop's d
     input. *)
 let tick sim =
-  Array.iteri (fun i d -> sim.state.(i) <- sim.values.(d)) sim.circuit.N.ff_d
+  Array.iteri
+    (fun i d ->
+      sim.st_hi.(i) <- sim.hi.(d);
+      sim.st_lo.(i) <- sim.lo.(d))
+    sim.circuit.N.ff_d
 
 (** Apply one input vector and advance the clock; returns the PO values
     seen before the clock edge. *)
-let step sim pi_values =
-  eval sim pi_values;
+let step sim pis =
+  eval sim pis;
   let pos = outputs sim in
   tick sim;
   pos
@@ -139,7 +174,7 @@ let po_as_int sim base =
                  (String.length base + 1)
                  (String.length name - String.length base - 2))
         in
-        match L.get sim.values.(c.N.pos.(i)) 0 with
+        match L.get (value sim c.N.pos.(i)) 0 with
         | Some true -> result := !result lor (1 lsl bit)
         | Some false -> ()
         | None -> ok := false

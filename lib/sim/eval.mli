@@ -1,17 +1,23 @@
-(** Levelized compiled simulation of a gate-level netlist: 64 patterns in
-    parallel, three-valued, with sequential stepping. *)
+(** Levelized compiled simulation of a gate-level netlist: a word of
+    {!Logic3} lanes in parallel, three-valued, with sequential stepping.
+    Net values and flip-flop state are dual-rail planes of native ints
+    (the {!Logic3} encoding, one array per rail), so {!eval} is one
+    straight-line sweep that allocates nothing per gate. *)
 
 type t = {
   circuit : Netlist.t;
   order : int array;
-  values : Logic3.t array;
-  state : Logic3.t array;
+  hi : int array;       (** per net: lanes known 1 *)
+  lo : int array;       (** per net: lanes known 0 *)
+  st_hi : int array;    (** per flip-flop: lanes known 1 *)
+  st_lo : int array;    (** per flip-flop: lanes known 0 *)
 }
 
 (** A per-net injection hook: after computing the value of a net with
     [hooked.(net)] set, {!eval} stores [at net v] instead of [v].  Fault
-    models inject this way — a stuck column, a stale value, a wired
-    combination with another net. *)
+    models inject this way — a stuck lane, a stale value, a wired
+    combination with another net.  Only hooked nets build a
+    {!Logic3.t}. *)
 type hook = {
   hooked : bool array;
   at : int -> Logic3.t -> Logic3.t;
@@ -25,6 +31,9 @@ val reset_state : t -> unit
 
 (** Force every flip-flop to zero (reference-model comparisons). *)
 val zero_state : t -> unit
+
+(** [set_state sim ff v] sets flip-flop [ff]'s state. *)
+val set_state : t -> int -> Logic3.t -> unit
 
 (** Evaluate combinational logic for the given per-PI values, passing
     each hooked net through [hook]. *)
@@ -47,6 +56,6 @@ val step : t -> Logic3.t array -> Logic3.t array
     ports ("a" covers "a\[0\]", "a\[1\]", ...).  Missing inputs are X. *)
 val pi_of_ports : Netlist.t -> (string * int) list -> Logic3.t array
 
-(** Read a multi-bit output port as an integer using pattern 0; [None]
+(** Read a multi-bit output port as an integer using lane 0; [None]
     if any bit is X or the port does not exist. *)
 val po_as_int : t -> string -> int option

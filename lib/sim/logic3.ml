@@ -1,53 +1,50 @@
-(** Three-valued logic over 64 parallel patterns, dual-rail encoded:
-    [hi] has a bit set where the value is known 1, [lo] where it is known
-    0, neither where it is X.  A bit must never be set in both rails. *)
+(** Three-valued logic over the lanes of a native int ([Sys.int_size]
+    lanes), dual-rail encoded: [hi] has a bit set where the value is
+    known 1, [lo] where it is known 0, neither where it is X.  A bit must
+    never be set in both rails. *)
 
-type t = { hi : int64; lo : int64 }
+type t = { hi : int; lo : int }
 
-let x = { hi = 0L; lo = 0L }
-let zero = { hi = 0L; lo = -1L }
-let one = { hi = -1L; lo = 0L }
+let x = { hi = 0; lo = 0 }
+let zero = { hi = 0; lo = -1 }
+let one = { hi = -1; lo = 0 }
 
-let ( &&& ) = Int64.logand
-let ( ||| ) = Int64.logor
-
-let v_and a b = { hi = a.hi &&& b.hi; lo = a.lo ||| b.lo }
-let v_or a b = { hi = a.hi ||| b.hi; lo = a.lo &&& b.lo }
+let v_and a b = { hi = a.hi land b.hi; lo = a.lo lor b.lo }
+let v_or a b = { hi = a.hi lor b.hi; lo = a.lo land b.lo }
 let v_not a = { hi = a.lo; lo = a.hi }
 
 let v_xor a b =
-  { hi = (a.hi &&& b.lo) ||| (a.lo &&& b.hi);
-    lo = (a.hi &&& b.hi) ||| (a.lo &&& b.lo) }
+  { hi = (a.hi land b.lo) lor (a.lo land b.hi);
+    lo = (a.hi land b.hi) lor (a.lo land b.lo) }
 
 (* mux: select 1 chooses [b], select 0 chooses [a]; when the select is X
    the output is known only where both branches agree. *)
 let v_mux s a b =
-  { hi = (s.hi &&& b.hi) ||| (s.lo &&& a.hi) ||| (a.hi &&& b.hi);
-    lo = (s.hi &&& b.lo) ||| (s.lo &&& a.lo) ||| (a.lo &&& b.lo) }
+  { hi = (s.hi land b.hi) lor (s.lo land a.hi) lor (a.hi land b.hi);
+    lo = (s.hi land b.lo) lor (s.lo land a.lo) lor (a.lo land b.lo) }
 
-(** Mask of patterns where the value is binary (not X). *)
-let known a = a.hi ||| a.lo
+(** Mask of lanes where the value is binary (not X). *)
+let known a = a.hi lor a.lo
 
-(** Mask of patterns where [a] and [b] are binary and differ. *)
-let diff a b = (a.hi &&& b.lo) ||| (a.lo &&& b.hi)
+(** Mask of lanes where [a] and [b] are binary and differ. *)
+let diff a b = (a.hi land b.lo) lor (a.lo land b.hi)
 
-(** Pack bit [i] of each pattern: value from [bits], X where [mask] clear. *)
-let of_bits ~value ~known =
-  { hi = value &&& known; lo = Int64.lognot value &&& known }
+(** Pack lane [i]: value from [value], X where [known] is clear. *)
+let of_bits ~value ~known = { hi = value land known; lo = lnot value land known }
 
-let equal a b = Int64.equal a.hi b.hi && Int64.equal a.lo b.lo
+let equal a b = a.hi = b.hi && a.lo = b.lo
 
-(** Pattern [i]'s value: [Some true], [Some false], or [None] for X. *)
+(** Lane [i]'s value: [Some true], [Some false], or [None] for X. *)
 let get a i =
-  let bit m = Int64.logand (Int64.shift_right_logical m i) 1L = 1L in
+  let bit m = (m lsr i) land 1 = 1 in
   if bit a.hi then Some true else if bit a.lo then Some false else None
 
 let set a i value =
-  let m = Int64.shift_left 1L i in
-  let clear x = Int64.logand x (Int64.lognot m) in
+  let m = 1 lsl i in
+  let clear v = v land lnot m in
   match value with
-  | Some true -> { hi = a.hi ||| m; lo = clear a.lo }
-  | Some false -> { hi = clear a.hi; lo = a.lo ||| m }
+  | Some true -> { hi = a.hi lor m; lo = clear a.lo }
+  | Some false -> { hi = clear a.hi; lo = a.lo lor m }
   | None -> { hi = clear a.hi; lo = clear a.lo }
 
 let to_string ?(n = 8) a =

@@ -1,63 +1,11 @@
-(** Packed-pattern dual-rail words: up to [Sys.int_size] patterns per
-    native int, same rail encoding and truth tables as {!Logic3} (which
-    packs fault columns instead).  Native ints keep the whole kernel
-    unboxed — no allocation per gate evaluation. *)
+(** Pattern-parallel batches: up to [width] test patterns transposed into
+    the lanes of {!Logic3} words, one word per frame and primary input. *)
+
+module L = Logic3
 
 let width = Sys.int_size
 
 let mask n = if n >= width then -1 else (1 lsl n) - 1
-
-type t = { p_hi : int; p_lo : int }
-
-let x = { p_hi = 0; p_lo = 0 }
-
-let const b ~lanes =
-  if b then { p_hi = lanes; p_lo = 0 } else { p_hi = 0; p_lo = lanes }
-
-let v_and a b = { p_hi = a.p_hi land b.p_hi; p_lo = a.p_lo lor b.p_lo }
-let v_or a b = { p_hi = a.p_hi lor b.p_hi; p_lo = a.p_lo land b.p_lo }
-let v_not a = { p_hi = a.p_lo; p_lo = a.p_hi }
-
-let v_xor a b =
-  { p_hi = (a.p_hi land b.p_lo) lor (a.p_lo land b.p_hi);
-    p_lo = (a.p_hi land b.p_hi) lor (a.p_lo land b.p_lo) }
-
-(* mux: select 1 chooses [b], select 0 chooses [a]; an X select is known
-   only where both branches agree — lane for lane the Logic3 rule. *)
-let v_mux s a b =
-  { p_hi = (s.p_hi land b.p_hi) lor (s.p_lo land a.p_hi)
-           lor (a.p_hi land b.p_hi);
-    p_lo = (s.p_hi land b.p_lo) lor (s.p_lo land a.p_lo)
-           lor (a.p_lo land b.p_lo) }
-
-let known a = a.p_hi lor a.p_lo
-
-let diff a b = (a.p_hi land b.p_lo) lor (a.p_lo land b.p_hi)
-
-let equal a b = a.p_hi = b.p_hi && a.p_lo = b.p_lo
-
-let get a i =
-  let bit m = (m lsr i) land 1 = 1 in
-  if bit a.p_hi then Some true else if bit a.p_lo then Some false else None
-
-let set a i value =
-  let m = 1 lsl i in
-  let clear v = v land lnot m in
-  match value with
-  | Some true -> { p_hi = a.p_hi lor m; p_lo = clear a.p_lo }
-  | Some false -> { p_hi = clear a.p_hi; p_lo = a.p_lo lor m }
-  | None -> { p_hi = clear a.p_hi; p_lo = clear a.p_lo }
-
-let to_string ?(n = 8) a =
-  String.init n (fun i ->
-      match get a (n - 1 - i) with
-      | Some true -> '1'
-      | Some false -> '0'
-      | None -> 'x')
-
-(* ------------------------------------------------------------------ *)
-(* Transpose: pattern rows -> per-frame bit planes.                    *)
-(* ------------------------------------------------------------------ *)
 
 type batch = {
   b_lanes : int;
@@ -65,10 +13,8 @@ type batch = {
   b_frames : int;
   b_active : int array;
   b_last : int array;
-  b_pi_hi : int array array;
-  b_pi_lo : int array array;
-  b_load_hi : int array;
-  b_load_lo : int array;
+  b_pis : L.t array array;
+  b_loads : L.t array;
 }
 
 let make_batch ~num_pis ~num_ffs ~vectors ~loads =
@@ -84,38 +30,37 @@ let make_batch ~num_pis ~num_ffs ~vectors ~loads =
   in
   let b_active = Array.make (max 1 frames) 0 in
   let b_last = Array.make (max 1 frames) 0 in
-  let b_pi_hi = Array.init frames (fun _ -> Array.make num_pis 0) in
-  let b_pi_lo = Array.init frames (fun _ -> Array.make num_pis 0) in
+  let pi_hi = Array.init frames (fun _ -> Array.make num_pis 0) in
+  let pi_lo = Array.init frames (fun _ -> Array.make num_pis 0) in
   for j = 0 to lanes - 1 do
     let bit = 1 lsl j in
     let fj = Array.length vectors.(j) in
     for f = 0 to fj - 1 do
       b_active.(f) <- b_active.(f) lor bit;
       let vec = vectors.(j).(f) in
-      let hi = b_pi_hi.(f) and lo = b_pi_lo.(f) in
+      let hi = pi_hi.(f) and lo = pi_lo.(f) in
       for i = 0 to num_pis - 1 do
         if vec.(i) then hi.(i) <- hi.(i) lor bit else lo.(i) <- lo.(i) lor bit
       done
     done;
     if fj > 0 then b_last.(fj - 1) <- b_last.(fj - 1) lor bit
   done;
-  let b_load_hi = Array.make (max 1 num_ffs) 0 in
-  let b_load_lo = Array.make (max 1 num_ffs) 0 in
+  let load_hi = Array.make num_ffs 0 and load_lo = Array.make num_ffs 0 in
   Array.iteri
     (fun j ls ->
       let bit = 1 lsl j in
       List.iter
         (fun (ff, v) ->
-          if v then b_load_hi.(ff) <- b_load_hi.(ff) lor bit
-          else b_load_lo.(ff) <- b_load_lo.(ff) lor bit)
+          if v then load_hi.(ff) <- load_hi.(ff) lor bit
+          else load_lo.(ff) <- load_lo.(ff) lor bit)
         ls)
     loads;
+  let word hi lo i = { L.hi = hi.(i); lo = lo.(i) } in
   { b_lanes = lanes;
     b_mask = mask lanes;
     b_frames = frames;
     b_active;
     b_last;
-    b_pi_hi;
-    b_pi_lo;
-    b_load_hi;
-    b_load_lo }
+    b_pis =
+      Array.init frames (fun f -> Array.init num_pis (word pi_hi.(f) pi_lo.(f)));
+    b_loads = Array.init num_ffs (word load_hi load_lo) }

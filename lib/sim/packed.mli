@@ -1,89 +1,35 @@
-(** Bit-parallel packed-pattern words (PPSFP): one word carries the same
-    signal across up to {!width} {e patterns}, dual-rail encoded exactly
-    like {!Logic3} — [p_hi] has a bit set in the lanes where the value is
-    known 1, [p_lo] where it is known 0, neither where it is X.  A lane
-    bit must never be set in both rails.
+(** Pattern-parallel batches (PPSFP): one {!Logic3} word carries the same
+    signal across up to {!width} {e test patterns}, lane [j] belonging to
+    test [j]. *)
 
-    Where {!Logic3} spreads one pattern across 64 {e fault columns}, this
-    module spreads up to {!width} {e patterns} across the lanes of a
-    native [int], so AND/OR/XOR/NOT/MUX evaluate a whole word of patterns
-    in a handful of unboxed machine ops (native ints never allocate,
-    unlike [int64]).  The truth tables coincide with {!Logic3} lane for
-    lane:
-
-    {v
-       AND: hi = a.hi & b.hi        lo = a.lo | b.lo
-       OR : hi = a.hi | b.hi        lo = a.lo & b.lo
-       NOT: hi = a.lo               lo = a.hi
-       XOR: hi = a.hi&b.lo | a.lo&b.hi
-            lo = a.hi&b.hi | a.lo&b.lo
-       MUX: hi = s.hi&b.hi | s.lo&a.hi | a.hi&b.hi   (s=1 picks b)
-            lo = s.hi&b.lo | s.lo&a.lo | a.lo&b.lo
-    v} *)
-
-(** Patterns per word: [Sys.int_size], i.e. 63 on 64-bit platforms. *)
+(** Lanes per word: [Sys.int_size], i.e. 63 on 64-bit platforms. *)
 val width : int
 
 (** [mask n] has the low [n] lane bits set ([n = width] sets them all). *)
 val mask : int -> int
 
-type t = { p_hi : int; p_lo : int }
-
-val x : t
-
-(** [const b ~lanes] is the value [b] in every lane of [lanes], X
-    elsewhere. *)
-val const : bool -> lanes:int -> t
-
-val v_and : t -> t -> t
-val v_or : t -> t -> t
-val v_not : t -> t
-val v_xor : t -> t -> t
-
-(** [v_mux s a b]: select 1 chooses [b], select 0 chooses [a]; an X
-    select yields a known value only where both branches agree. *)
-val v_mux : t -> t -> t -> t
-
-(** Lanes where the value is binary (not X). *)
-val known : t -> int
-
-(** Lanes where [a] and [b] are both binary and differ — the packed
-    detection test. *)
-val diff : t -> t -> int
-
-val equal : t -> t -> bool
-
-(** Lane [i]'s value: [Some true], [Some false], or [None] for X. *)
-val get : t -> int -> bool option
-
-val set : t -> int -> bool option -> t
-
-val to_string : ?n:int -> t -> string
-
-(** {1 Pattern-to-plane transpose}
+(** {1 Pattern-to-lane transpose}
 
     A {!batch} is the transpose of up to {!width} test-pattern rows into
-    per-frame bit planes: lane [j] of every plane belongs to test [j].
-    Tests may have different frame counts; beyond a test's last frame its
-    lane applies X inputs and must not be observed — [b_active] masks the
+    per-frame words: lane [j] of every word belongs to test [j].  Tests
+    may have different frame counts; beyond a test's last frame its lane
+    applies X inputs and must not be observed — [b_active] masks the
     lanes still inside their own sequence, [b_last] the lanes for which a
     frame is the final one (where end-of-test state observation
     happens). *)
 
 type batch = {
-  b_lanes : int;             (** number of tests packed, <= {!width} *)
-  b_mask : int;              (** [mask b_lanes] *)
-  b_frames : int;            (** max frame count across the lanes *)
-  b_active : int array;      (** per frame: lanes with [frame < frames_j] *)
-  b_last : int array;        (** per frame: lanes whose last frame it is *)
-  b_pi_hi : int array array; (** per frame, per PI: lanes applying a 1 *)
-  b_pi_lo : int array array; (** per frame, per PI: lanes applying a 0 *)
-  b_load_hi : int array;     (** per FF: lanes loading a 1 *)
-  b_load_lo : int array;     (** per FF: lanes loading a 0 *)
+  b_lanes : int;               (** number of tests packed, <= {!width} *)
+  b_mask : int;                (** [mask b_lanes] *)
+  b_frames : int;              (** max frame count across the lanes *)
+  b_active : int array;        (** per frame: lanes with [frame < frames_j] *)
+  b_last : int array;          (** per frame: lanes whose last frame it is *)
+  b_pis : Logic3.t array array;  (** per frame, per PI: the applied values *)
+  b_loads : Logic3.t array;    (** per FF: the initial state (X unloaded) *)
 }
 
 (** [make_batch ~num_pis ~num_ffs ~vectors ~loads] transposes test rows
-    into bit planes; [vectors.(j)] are test [j]'s per-frame primary-input
+    into lanes; [vectors.(j)] are test [j]'s per-frame primary-input
     vectors and [loads.(j)] its initial register loads (FFs not loaded
     start at X in that lane).
     @raise Invalid_argument if more than {!width} tests are given. *)

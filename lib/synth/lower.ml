@@ -866,3 +866,5 @@ let lower flat =
       | _ -> ())
     flat.fl_items;
   { circuit = N.finalize b; warnings = List.rev ctx.warnings }
+
+let circuit_of ed top = (lower (Flatten.flatten ed top)).circuit

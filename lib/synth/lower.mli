@@ -15,3 +15,8 @@ type result = {
     @raise Error on combinational cycles, multiple drivers, inferred
     latches, or unsupported constructs. *)
 val lower : Flatten.flat -> result
+
+(** [circuit_of ed top] flattens module [top] of an elaborated design and
+    lowers it: the design-to-netlist step every flow starts from.
+    Warnings are dropped; call {!lower} to see them. *)
+val circuit_of : Design.Elaborate.edesign -> string -> Netlist.t

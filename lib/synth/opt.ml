@@ -147,14 +147,15 @@ let optimize ?tie c =
     the name of a mismatching output. *)
 type verdict = Equal | Differ of string
 
-(* Shared random input values per named PI, 64 patterns wide. *)
+(* Shared random input values per named PI, one per lane.  The draw is
+   below 2^63, so the low [Sys.int_size] bits keep all of it. *)
 let random_values rng names =
   List.map
     (fun name ->
       ( name,
         L.of_bits
-          ~value:(Random.State.int64 rng Int64.max_int)
-          ~known:(-1L) ))
+          ~value:(Int64.to_int (Random.State.int64 rng Int64.max_int))
+          ~known:(-1) ))
     (Array.to_list names)
 
 (** [equivalent ?rounds ?cycles ~rng a b] drives both circuits with the
@@ -195,7 +196,7 @@ let equivalent ?(rounds = 16) ?(cycles = 4) ~rng a b =
         let out_a = Sim.Eval.outputs sim_a and out_b = Sim.Eval.outputs sim_b in
         List.iter
           (fun (name, ia, ib) ->
-            if not (Int64.equal (L.diff out_a.(ia) out_b.(ib)) 0L) then
+            if L.diff out_a.(ia) out_b.(ib) <> 0 then
               verdict := Differ name)
           shared_outputs;
         Sim.Eval.tick sim_a;

@@ -24,7 +24,7 @@ let nop = mov ~rd:0 ~rm:0
 let arm_circuit =
   let c = lazy (
     let ed = Design.Elaborate.elaborate (Arm.Rtl.design ()) ~top:Arm.Rtl.top in
-    (Synth.Lower.lower (Synth.Flatten.flatten ed Arm.Rtl.top)).Synth.Lower.circuit)
+    Synth.Lower.circuit_of ed Arm.Rtl.top)
   in
   fun () -> Lazy.force c
 

@@ -97,10 +97,7 @@ let fault_tests =
         let ed =
           Design.Elaborate.elaborate (Arm.Rtl.design ()) ~top:Arm.Rtl.top
         in
-        let c =
-          (Synth.Lower.lower (Synth.Flatten.flatten ed Arm.Rtl.top))
-            .Synth.Lower.circuit
-        in
+        let c = Synth.Lower.circuit_of ed Arm.Rtl.top in
         let all = F.all ~within:"u_dpath.u_alu" c in
         let collapsed = F.collapse c all in
         let pairs = F.collapse_pairs c all in

@@ -456,8 +456,7 @@ let translate_tests =
         in
         let chip =
           let ed = env.Factor.Compose.ed in
-          let flat = Synth.Flatten.flatten ed ed.Design.Elaborate.ed_top in
-          (Synth.Lower.lower flat).Synth.Lower.circuit
+          Synth.Lower.circuit_of ed ed.Design.Elaborate.ed_top
         in
         let tfc = tf.Factor.Transform.tf_circuit in
         let t =
@@ -493,8 +492,7 @@ let translate_tests =
         let r = Atpg.Gen.run tfc Atpg.Gen.default_config faults in
         let chip =
           let ed = env.Factor.Compose.ed in
-          let flat = Synth.Flatten.flatten ed ed.Design.Elaborate.ed_top in
-          (Synth.Lower.lower flat).Synth.Lower.circuit
+          Synth.Lower.circuit_of ed ed.Design.Elaborate.ed_top
         in
         let translated =
           Factor.Translate.translate_all ~chip ~transformed:tfc

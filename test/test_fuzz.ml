@@ -57,8 +57,7 @@ let fsim_matches_reference ~engine gm =
   = Atpg.Fsim.run ~engine:Atpg.Fsim.Reference circuit ~observe ~faults tests
 
 (* Word-boundary pattern counts for the packed engine: 1 (partial
-   word), 63 (one lane short of full), 64 (word + 1), 65, 127 (two
-   words + partial).  Ragged frame counts inside each word stress the
+   word), 63 (one full word), 64 (word + 1), 65, 127 (two words + 1).  Ragged frame counts inside each word stress the
    per-lane active/last masks. *)
 let packed_word_boundaries gm =
   let (_, circuit) = build gm in
@@ -87,6 +86,39 @@ let packed_word_boundaries gm =
           tests)
     [ 1; 63; 64; 65; 127 ]
 
+(* Batch-boundary fault counts for the event engine, one test at a time:
+   1 (partial batch), w - 1, w (one full batch), w + 1 and 2w + 1 active
+   faults, w = [Sim.Packed.width] lanes.  The indices are drawn with
+   repetition, so a circuit with few faults still fills every batch and
+   one net is often armed in several lanes at once.  The reference
+   oracle batches one lane fewer, so its boundaries fall elsewhere. *)
+let event_batch_boundaries gm =
+  let (_, circuit) = build gm in
+  let seed = Hashtbl.hash gm.gm_src + 13 in
+  let rng = Random.State.make [| seed |] in
+  let faults = Array.of_list (Atpg.Fault.all circuit) in
+  let nf = Array.length faults in
+  let piers =
+    List.filter
+      (fun _ -> Random.State.bool rng)
+      (List.init (Netlist.num_ffs circuit) Fun.id)
+  in
+  let observe = { Atpg.Fsim.ob_pos = true; ob_pier_ffs = piers } in
+  let w = Sim.Packed.width in
+  nf = 0
+  || List.for_all
+       (fun count ->
+         let active = Array.init count (fun _ -> Random.State.int rng nf) in
+         let test =
+           Atpg.Pattern.random ~rng ~num_pis:(Netlist.num_pis circuit)
+             ~frames:(1 + Random.State.int rng 3) ~piers
+         in
+         let run engine =
+           Atpg.Fsim.run_test ~engine circuit ~observe ~faults ~active test
+         in
+         run Atpg.Fsim.Event = run Atpg.Fsim.Reference)
+       [ 1; w - 1; w; w + 1; (2 * w) + 1 ]
+
 let fuzz_tests =
   [ qtest "random rtl: printer round trip" ~count:60 gen_arbitrary
       (fun gm ->
@@ -102,6 +134,8 @@ let fuzz_tests =
       ~count:60 gen_arbitrary (fsim_matches_reference ~engine:Atpg.Fsim.Event);
     qtest "random rtl: packed fsim at word-boundary pattern counts"
       ~count:12 gen_arbitrary packed_word_boundaries;
+    qtest "random rtl: event fsim at batch-boundary fault counts" ~count:12
+      gen_arbitrary event_batch_boundaries;
     qtest "random rtl: optimizer preserves behaviour" ~count:40 gen_arbitrary
       (fun gm ->
         let (_, circuit) = build gm in
@@ -155,9 +189,7 @@ let fuzz_tests =
         let tf = Factor.Transform.build env stats.Factor.Compose.cs_slice ~mut_path:"u_mut" in
         let full =
           let ed = env.Factor.Compose.ed in
-          (Synth.Lower.lower
-             (Synth.Flatten.flatten ed ed.Design.Elaborate.ed_top))
-            .Synth.Lower.circuit
+          Synth.Lower.circuit_of ed ed.Design.Elaborate.ed_top
         in
         let rng = Random.State.make [| Hashtbl.hash gm.gm_src + 2 |] in
         Synth.Opt.equivalent ~rounds:4 ~cycles:4 ~rng full

@@ -496,6 +496,26 @@ let histogram_percentiles () =
   check_bool "overflow percentile reports the observed max" true
     (Obs.Metrics.percentile o 100.0 = 123.0)
 
+(* Default buckets: a percentile is the upper bound of its bucket (capped
+   at the observed max), so it may overstate the true sample but by less
+   than one quarter-octave. *)
+let default_bucket_percentiles () =
+  let h = Obs.Metrics.histogram "test.obs.default_hist" in
+  (* 1 ms .. 100 ms in 1 ms steps: the p-th percentile is p ms *)
+  for k = 1 to 100 do
+    Obs.Metrics.observe h (0.001 *. float_of_int k)
+  done;
+  List.iter
+    (fun p ->
+      let truth = 0.001 *. p and got = Obs.Metrics.percentile h p in
+      check_bool
+        (Printf.sprintf "p%.0f = %g within 19%% above %g" p got truth)
+        true
+        (got >= truth *. (1.0 -. 1e-9) && got <= truth *. 1.19))
+    [ 1.0; 10.0; 50.0; 65.0; 90.0; 99.0; 100.0 ];
+  check_bool "no percentile above the observed max" true
+    (Obs.Metrics.percentile h 100.0 = 0.001 *. 100.0)
+
 let concurrent_updates () =
   let c = Obs.Metrics.counter "test.obs.parallel" in
   let base = Obs.Metrics.value c in
@@ -707,6 +727,8 @@ let () =
         [
           test "registry semantics" metrics_registry;
           test "histogram percentiles" histogram_percentiles;
+          test "default-bucket percentiles within a quarter-octave"
+            default_bucket_percentiles;
           test "concurrent updates from four domains" concurrent_updates;
         ] );
       ( "artifacts",

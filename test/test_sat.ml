@@ -235,10 +235,7 @@ let podem_vs_satgen gm =
    simulator confirms). *)
 let arm_alu_agreement () =
   let ed = Design.Elaborate.elaborate (Arm.Rtl.design ()) ~top:"arm_alu" in
-  let c =
-    (Synth.Lower.lower (Synth.Flatten.flatten ed "arm_alu"))
-      .Synth.Lower.circuit
-  in
+  let c = Synth.Lower.circuit_of ed "arm_alu" in
   Alcotest.(check int) "combinational" 0 (Netlist.num_ffs c);
   Alcotest.(check bool) "podem and satgen agree on every collapsed fault"
     true

@@ -43,6 +43,12 @@ let ref_mux s a b =
              | (Some x, Some y) when x = y -> Some x
              | _ -> None)
 
+(* A word holding [vs] in lanes 0, 1, ... *)
+let word_of vs =
+  fst (List.fold_left (fun (w, i) v -> (L.set w i v, i + 1)) (L.x, 0) vs)
+
+let both_rails r = r.L.hi land r.L.lo
+
 let logic3_tests =
   [ qtest "and matches reference" QCheck.(pair opt3 opt3) (fun (a, b) ->
         get0 (L.v_and (v a) (v b)) = ref_and a b);
@@ -58,7 +64,7 @@ let logic3_tests =
       QCheck.(triple opt3 opt3 opt3)
       (fun (s, a, b) ->
         let r = L.v_mux (v s) (L.v_and (v a) (v b)) (L.v_xor (v a) (v b)) in
-        Int64.logand r.L.hi r.L.lo = 0L);
+        r.L.hi land r.L.lo = 0);
     qtest "de morgan" QCheck.(pair opt3 opt3) (fun (a, b) ->
         L.equal
           (L.v_not (L.v_and (v a) (v b)))
@@ -71,11 +77,44 @@ let logic3_tests =
     test "diff mask" (fun () ->
         let a = L.set L.x 1 (Some true) in
         let b = L.set L.x 1 (Some false) in
-        check_bool "differ at 1" true (Int64.equal (L.diff a b) 2L);
-        check_bool "x does not differ" true (Int64.equal (L.diff L.x L.one) 0L));
+        check_bool "differ at 1" true (L.diff a b = 2);
+        check_bool "x does not differ" true (L.diff L.x L.one = 0));
     test "to_string" (fun () ->
         let a = L.set (L.set L.x 0 (Some true)) 2 (Some false) in
-        check_string "render" "xxxxx0x1" (L.to_string a)) ]
+        check_string "render" "xxxxx0x1" (L.to_string a));
+    qtest "all lanes match the truth tables" ~count:300
+      QCheck.(list_of_size (Gen.int_bound Sim.Packed.width) (triple opt3 opt3 opt3))
+      (fun triples ->
+        let sw = word_of (List.map (fun (s, _, _) -> s) triples) in
+        let aw = word_of (List.map (fun (_, a, _) -> a) triples) in
+        let bw = word_of (List.map (fun (_, _, b) -> b) triples) in
+        let results =
+          [ (L.v_and aw bw); (L.v_or aw bw); (L.v_xor aw bw); (L.v_not aw);
+            (L.v_mux sw aw bw) ]
+        in
+        List.for_all (fun r -> both_rails r = 0) results
+        && List.for_all
+             (fun (i, (s, a, b)) ->
+               L.get (L.v_and aw bw) i = ref_and a b
+               && L.get (L.v_or aw bw) i = ref_or a b
+               && L.get (L.v_xor aw bw) i = ref_xor a b
+               && L.get (L.v_not aw) i = ref_not a
+               && L.get (L.v_mux sw aw bw) i = ref_mux s a b)
+             (List.mapi (fun i t -> (i, t)) triples));
+    qtest "diff/known flag exactly the binary lanes" ~count:300
+      QCheck.(list_of_size (Gen.int_bound Sim.Packed.width) (pair opt3 opt3))
+      (fun pairs ->
+        let aw = word_of (List.map fst pairs) in
+        let bw = word_of (List.map snd pairs) in
+        List.for_all
+          (fun (i, (a, b)) ->
+            let bit m = m land (1 lsl i) <> 0 in
+            bit (L.known aw) = Option.is_some a
+            && bit (L.diff aw bw)
+               = (match (a, b) with
+                  | (Some x, Some y) -> x <> y
+                  | _ -> false))
+          (List.mapi (fun i p -> (i, p)) pairs)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Simulator.                                                          *)
@@ -116,12 +155,12 @@ let sim_tests =
         in
         let sim = Sim.Eval.create c in
         (* pattern i: a = bit i of 0xF0F0.., b = bit i of 0xFF00.. *)
-        let a = L.of_bits ~value:0x00F0L ~known:(-1L) in
-        let b = L.of_bits ~value:0x0F00L ~known:(-1L) in
+        let a = L.of_bits ~value:0x00F0 ~known:(-1) in
+        let b = L.of_bits ~value:0x0F00 ~known:(-1) in
         Sim.Eval.eval sim [| a; b |];
         let y = (Sim.Eval.outputs sim).(0) in
         check_bool "xor per pattern" true
-          (Int64.equal y.L.hi 0x0FF0L));
+          (y.L.hi = 0x0FF0));
     test "counter counts" (fun () ->
         let c =
           circuit
@@ -243,53 +282,13 @@ let vcd_tests =
         check_int "single timestamp" 1 count_ts) ]
 
 (* ------------------------------------------------------------------ *)
-(* Packed pattern words: the PPSFP kernels must agree with the Logic3
-   reference operators in every lane, and the pattern-to-plane
-   transpose must place each test's bits in its own lane. *)
+(* Packed batches: the pattern-to-lane transpose must place each test's
+   bits in its own lane. *)
 
 module P = Sim.Packed
 
-let word_of vs =
-  fst
-    (List.fold_left (fun (w, i) v -> (P.set w i v, i + 1)) (P.x, 0) vs)
-
-let both_rails r = r.P.p_hi land r.P.p_lo
-
 let packed_tests =
-  [ qtest "packed kernels match the three-valued truth tables" ~count:300
-      QCheck.(list_of_size (Gen.int_bound P.width) (triple opt3 opt3 opt3))
-      (fun triples ->
-        let sw = word_of (List.map (fun (s, _, _) -> s) triples) in
-        let aw = word_of (List.map (fun (_, a, _) -> a) triples) in
-        let bw = word_of (List.map (fun (_, _, b) -> b) triples) in
-        let results =
-          [ (P.v_and aw bw); (P.v_or aw bw); (P.v_xor aw bw); (P.v_not aw);
-            (P.v_mux sw aw bw) ]
-        in
-        List.for_all (fun r -> both_rails r = 0) results
-        && List.for_all
-             (fun (i, (s, a, b)) ->
-               P.get (P.v_and aw bw) i = ref_and a b
-               && P.get (P.v_or aw bw) i = ref_or a b
-               && P.get (P.v_xor aw bw) i = ref_xor a b
-               && P.get (P.v_not aw) i = ref_not a
-               && P.get (P.v_mux sw aw bw) i = ref_mux s a b)
-             (List.mapi (fun i t -> (i, t)) triples));
-    qtest "packed diff/known flag exactly the binary lanes" ~count:300
-      QCheck.(list_of_size (Gen.int_bound P.width) (pair opt3 opt3))
-      (fun pairs ->
-        let aw = word_of (List.map fst pairs) in
-        let bw = word_of (List.map snd pairs) in
-        List.for_all
-          (fun (i, (a, b)) ->
-            let bit m = m land (1 lsl i) <> 0 in
-            bit (P.known aw) = Option.is_some a
-            && bit (P.diff aw bw)
-               = (match (a, b) with
-                  | (Some x, Some y) -> x <> y
-                  | _ -> false))
-          (List.mapi (fun i p -> (i, p)) pairs));
-    test "make_batch transposes ragged tests into lanes" (fun () ->
+  [ test "make_batch transposes ragged tests into lanes" (fun () ->
         (* test 0: one frame, PIs = 10; test 1: two frames, 01 then 11 *)
         let vectors =
           [| [| [| true; false |] |];
@@ -303,18 +302,18 @@ let packed_tests =
         check_int "active frame 1" 0b10 b.P.b_active.(1);
         check_int "last frame 0" 0b01 b.P.b_last.(0);
         check_int "last frame 1" 0b10 b.P.b_last.(1);
-        check_int "pi0 frame 0 hi" 0b01 b.P.b_pi_hi.(0).(0);
-        check_int "pi0 frame 0 lo" 0b10 b.P.b_pi_lo.(0).(0);
-        check_int "pi1 frame 0 hi" 0b10 b.P.b_pi_hi.(0).(1);
-        check_int "pi1 frame 0 lo" 0b01 b.P.b_pi_lo.(0).(1);
+        check_int "pi0 frame 0 hi" 0b01 b.P.b_pis.(0).(0).L.hi;
+        check_int "pi0 frame 0 lo" 0b10 b.P.b_pis.(0).(0).L.lo;
+        check_int "pi1 frame 0 hi" 0b10 b.P.b_pis.(0).(1).L.hi;
+        check_int "pi1 frame 0 lo" 0b01 b.P.b_pis.(0).(1).L.lo;
         (* lane 0 is past its last frame at frame 1: X inputs *)
-        check_int "pi0 frame 1 hi" 0b10 b.P.b_pi_hi.(1).(0);
-        check_int "pi0 frame 1 lo" 0b00 b.P.b_pi_lo.(1).(0);
+        check_int "pi0 frame 1 hi" 0b10 b.P.b_pis.(1).(0).L.hi;
+        check_int "pi0 frame 1 lo" 0b00 b.P.b_pis.(1).(0).L.lo;
         (* register loads: ff0 loads 1 in lane 0 only, ff1 starts X *)
-        check_int "ff0 load hi" 0b01 b.P.b_load_hi.(0);
-        check_int "ff0 load lo" 0b00 b.P.b_load_lo.(0);
-        check_int "ff1 load hi" 0b00 b.P.b_load_hi.(1);
-        check_int "ff1 load lo" 0b00 b.P.b_load_lo.(1));
+        check_int "ff0 load hi" 0b01 b.P.b_loads.(0).L.hi;
+        check_int "ff0 load lo" 0b00 b.P.b_loads.(0).L.lo;
+        check_int "ff1 load hi" 0b00 b.P.b_loads.(1).L.hi;
+        check_int "ff1 load lo" 0b00 b.P.b_loads.(1).L.lo);
     test "make_batch rejects more tests than lanes" (fun () ->
         let vectors = Array.make (P.width + 1) [| [||] |] in
         let loads = Array.make (P.width + 1) [] in

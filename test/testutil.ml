@@ -7,7 +7,7 @@ let elaborate ?(top = "top") src =
 
 let circuit ?(top = "top") src =
   let ed = elaborate ~top src in
-  (Synth.Lower.lower (Synth.Flatten.flatten ed top)).Synth.Lower.circuit
+  Synth.Lower.circuit_of ed top
 
 let circuit_and_warnings ?(top = "top") src =
   let ed = elaborate ~top src in
