@@ -171,14 +171,10 @@ let batch_coverage ~simulate_batch items tests =
 (* Reference engine: straight-line evaluation of every net.            *)
 (* ------------------------------------------------------------------ *)
 
-(** [run_batch_reference c ~faults ~observe test] simulates [test]
-    against at most [columns] faults by evaluating every net on every
-    frame; returns a bool list aligned with [faults] marking the
-    detected ones.  The oracle the other engines are checked against. *)
-let run_batch_reference c ~faults ~observe (test : Pattern.test) =
+(* One reference batch on [sim], hooking the faults' nets in [hooked]
+   (all clear on entry and again on return). *)
+let reference_batch sim hooked ~faults ~observe (test : Pattern.test) =
   assert (List.length faults <= columns);
-  let sim = Sim.Eval.create c in
-  let hooked = Array.make (N.num_nets c) false in
   let stuck = Hashtbl.create 64 in
   List.iteri
     (fun i (f : Fault.t) ->
@@ -191,14 +187,25 @@ let run_batch_reference c ~faults ~observe (test : Pattern.test) =
       v (Hashtbl.find_all stuck net)
   in
   let mask = simulate ~hook:{ Sim.Eval.hooked; at } sim ~observe test in
+  List.iter (fun (f : Fault.t) -> hooked.(f.f_net) <- false) faults;
   add_ref_evals
     (Array.length test.Pattern.p_vectors * Array.length sim.Sim.Eval.order);
   List.mapi (fun i _ -> column mask (i + 1)) faults
 
+(** [run_batch_reference c ~faults ~observe test] simulates [test]
+    against at most [columns] faults by evaluating every net on every
+    frame; returns a bool list aligned with [faults] marking the
+    detected ones.  The oracle the other engines are checked against. *)
+let run_batch_reference c ~faults ~observe test =
+  reference_batch (Sim.Eval.create c) (Array.make (N.num_nets c) false)
+    ~faults ~observe test
+
 (* One test against the faults selected by [active], in reference
-   batches; flags align with [active]. *)
+   batches on one simulator; flags align with [active]. *)
 let run_test_reference ?(budget = Engine.Budget.none) c ~observe
     ~(faults : Fault.t array) ~(active : int array) test =
+  let sim = Sim.Eval.create c in
+  let hooked = Array.make (N.num_nets c) false in
   let len = Array.length active in
   let flags = Array.make len false in
   let pos = ref 0 in
@@ -206,7 +213,7 @@ let run_test_reference ?(budget = Engine.Budget.none) c ~observe
     let k = min columns (len - !pos) in
     let start = !pos in
     let batch = List.init k (fun i -> faults.(active.(start + i))) in
-    let res = run_batch_reference c ~faults:batch ~observe test in
+    let res = reference_batch sim hooked ~faults:batch ~observe test in
     List.iteri (fun i hit -> if hit then flags.(start + i) <- true) res;
     pos := !pos + k
   done;

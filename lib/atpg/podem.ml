@@ -5,38 +5,12 @@
     is observable (storable).  The fault is present in every frame. *)
 
 module N = Netlist
-
-type v3 = V0 | V1 | VX
-
-let v_neg = function V0 -> V1 | V1 -> V0 | VX -> VX
-let v_and a b =
-  match (a, b) with
-  | (V0, _) | (_, V0) -> V0
-  | (V1, V1) -> V1
-  | _ -> VX
-let v_or a b =
-  match (a, b) with
-  | (V1, _) | (_, V1) -> V1
-  | (V0, V0) -> V0
-  | _ -> VX
-let v_xor a b =
-  match (a, b) with
-  | (VX, _) | (_, VX) -> VX
-  | _ -> if a = b then V0 else V1
-let v_mux s a b =
-  match s with
-  | V0 -> a
-  | V1 -> b
-  | VX -> if a = b && a <> VX then a else VX
-
-let of_bool v = if v then V1 else V0
+module L = Sim.Logic3
 
 type outcome =
   | Detected of Pattern.test
   | Exhausted  (** search space exhausted at this unrolling depth *)
   | Aborted    (** backtrack limit reached *)
-
-type input = In_pi of int * int  (** frame, pi index *) | In_pier of int
 
 type config = {
   frames : int;
@@ -47,22 +21,28 @@ type config = {
 
 let default_config = { frames = 1; backtrack_limit = 100; piers = []; seed = 0 }
 
+(* The unrolled circuit is simulated on {!Sim.Eval}: lane 0 of every
+   {!Sim.Logic3} word is the good machine, lane 1 the faulty one.  An
+   input is numbered [f * npis + i] for primary input [i] in frame [f],
+   and [frames * npis + s] for the PIER in slot [s]. *)
 type model = {
   c : N.t;
   cfg : config;
   nets : int;
-  order : int array;
-  pier_set : bool array;
-  good : v3 array;        (* frames * nets *)
-  faulty : v3 array;
+  npis : int;
+  sim : Sim.Eval.t;
+  hook : Sim.Eval.hook;   (* forces lane 1 to the stuck value at the site *)
+  slot : int array;       (* per flip-flop: its PIER slot, or -1 *)
+  pis : L.t array array;  (* per frame: the assigned primary inputs *)
+  loads : L.t array;      (* per PIER slot: the assigned load *)
+  hi : int array;         (* frames * nets: the frames' planes *)
+  lo : int array;
+  observe : int array;    (* observation points, as offsets into hi/lo *)
   controllable : bool array;
   cost0 : int array;      (* frames * nets: SCOAP-like 0-controllability *)
   cost1 : int array;
   dist : int array;       (* per net, static distance to an observation *)
   fault : Fault.t;
-  inputs : input array;
-  input_index : (input, int) Hashtbl.t;
-  assignment : v3 array;
   rng : Random.State.t;
   mutable backtracks : int;
 }
@@ -73,7 +53,7 @@ let idx m f net = (f * m.nets) + net
 (* Static analyses.                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let compute_controllable c cfg order pier_set =
+let compute_controllable c cfg order slot =
   let nets = N.num_nets c in
   let ctl = Array.make (cfg.frames * nets) false in
   for f = 0 to cfg.frames - 1 do
@@ -84,7 +64,7 @@ let compute_controllable c cfg order pier_set =
           | N.Pi _ -> true
           | N.C0 | N.C1 -> false
           | N.Ff i ->
-            if f = 0 then pier_set.(i)
+            if f = 0 then slot.(i) >= 0
             else ctl.(((f - 1) * nets) + c.N.ff_d.(i))
           | d -> List.exists (fun i -> ctl.((f * nets) + i)) (N.fanins d)
         in
@@ -98,7 +78,7 @@ let compute_controllable c cfg order pier_set =
    justification.  Frame-0 state is uncontrollable except for PIERs. *)
 let big = Scoap.infinite
 
-let compute_costs c cfg order pier_set =
+let compute_costs c cfg order slot =
   let nets = N.num_nets c in
   let c0 = Array.make (cfg.frames * nets) big in
   let c1 = Array.make (cfg.frames * nets) big in
@@ -109,7 +89,7 @@ let compute_costs c cfg order pier_set =
         let (z, o) =
           match c.N.drv.(net) with
           | N.Ff i ->
-            if f = 0 then if pier_set.(i) then (1, 1) else (big, big)
+            if f = 0 then if slot.(i) >= 0 then (1, 1) else (big, big)
             else
               let d = off - nets + c.N.ff_d.(i) in
               (Scoap.cross_ff c0.(d), Scoap.cross_ff c1.(d))
@@ -123,12 +103,12 @@ let compute_costs c cfg order pier_set =
 
 (* Distance to the nearest observation point, allowing propagation
    through flip-flops (one frame per hop). *)
-let compute_dist c order pier_set =
+let compute_dist c order slot =
   let nets = N.num_nets c in
   let inf = max_int / 2 in
   let dist = Array.make nets inf in
   Array.iter (fun po -> dist.(po) <- 0) c.N.pos;
-  Array.iteri (fun i d -> if pier_set.(i) then dist.(d) <- 0) c.N.ff_d;
+  Array.iteri (fun i d -> if slot.(i) >= 0 then dist.(d) <- 0) c.N.ff_d;
   let changed = ref true in
   while !changed do
     changed := false;
@@ -156,81 +136,42 @@ let compute_dist c order pier_set =
   dist
 
 (* ------------------------------------------------------------------ *)
-(* Five-valued simulation (good/faulty pair).                          *)
+(* Good and faulty machines: lanes 0 and 1 of the frames' planes.      *)
 (* ------------------------------------------------------------------ *)
 
 let simulate m =
-  let c = m.c in
+  let sim = m.sim in
+  Sim.Eval.reset_state sim;
+  Array.iteri
+    (fun i s -> if s >= 0 then Sim.Eval.set_state sim i m.loads.(s))
+    m.slot;
   for f = 0 to m.cfg.frames - 1 do
-    Array.iter
-      (fun net ->
-        let at arr i = arr.(idx m f i) in
-        let eval arr =
-          match c.N.drv.(net) with
-          | N.Pi i ->
-            (match Hashtbl.find_opt m.input_index (In_pi (f, i)) with
-             | Some k -> m.assignment.(k)
-             | None -> VX)
-          | N.Ff i ->
-            if f = 0 then
-              if m.pier_set.(i) then
-                (match Hashtbl.find_opt m.input_index (In_pier i) with
-                 | Some k -> m.assignment.(k)
-                 | None -> VX)
-              else VX
-            else arr.(idx m (f - 1) c.N.ff_d.(i))
-          | N.C0 -> V0
-          | N.C1 -> V1
-          | N.G1 (N.Inv, a) -> v_neg (at arr a)
-          | N.G1 (N.Buff, a) -> at arr a
-          | N.G2 (N.And, a, b) -> v_and (at arr a) (at arr b)
-          | N.G2 (N.Or, a, b) -> v_or (at arr a) (at arr b)
-          | N.G2 (N.Xor, a, b) -> v_xor (at arr a) (at arr b)
-          | N.G2 (N.Nand, a, b) -> v_neg (v_and (at arr a) (at arr b))
-          | N.G2 (N.Nor, a, b) -> v_neg (v_or (at arr a) (at arr b))
-          | N.G2 (N.Xnor, a, b) -> v_neg (v_xor (at arr a) (at arr b))
-          | N.Mux (s, a, b) -> v_mux (at arr s) (at arr a) (at arr b)
-        in
-        m.good.(idx m f net) <- eval m.good;
-        let fv = eval m.faulty in
-        m.faulty.(idx m f net) <-
-          (if net = m.fault.Fault.f_net then of_bool m.fault.Fault.f_stuck
-           else fv))
-      m.order
+    Sim.Eval.eval ~hook:m.hook sim m.pis.(f);
+    Array.blit sim.Sim.Eval.hi 0 m.hi (f * m.nets) m.nets;
+    Array.blit sim.Sim.Eval.lo 0 m.lo (f * m.nets) m.nets;
+    Sim.Eval.tick sim
   done
 
-let observation_points m =
-  let last = m.cfg.frames - 1 in
-  let pos =
-    List.concat_map
-      (fun f -> Array.to_list (Array.map (fun po -> (f, po)) m.c.N.pos))
-      (List.init m.cfg.frames Fun.id)
-  in
-  let piers =
-    List.filter_map
-      (fun i -> if m.pier_set.(i) then Some (last, m.c.N.ff_d.(i)) else None)
-      (List.init (N.num_ffs m.c) Fun.id)
-  in
-  pos @ piers
+(* Bit tests on the planes at offset [k] = [idx m f net]. *)
+let good_x m k = (m.hi.(k) lor m.lo.(k)) land 1 = 0
 
-let detected m =
-  List.exists
-    (fun (f, net) ->
-      let g = m.good.(idx m f net) and fa = m.faulty.(idx m f net) in
-      g <> VX && fa <> VX && g <> fa)
-    (observation_points m)
+(* Is the good value known and equal to [v]? *)
+let good_is m k v = (if v then m.hi.(k) else m.lo.(k)) land 1 <> 0
+
+(* Is there a D (good/faulty binary and different) at [k]? *)
+let d_at m k =
+  let h = m.hi.(k) and l = m.lo.(k) in
+  ((h land (l lsr 1)) lor (l land (h lsr 1))) land 1 <> 0
+
+let composite_x m k = (m.hi.(k) lor m.lo.(k)) land 3 <> 3
+
+let detected m = Array.exists (d_at m) m.observe
 
 (* ------------------------------------------------------------------ *)
 (* Objective selection.                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Is there a D (good/faulty binary and different) on this node? *)
-let has_d m f net =
-  let g = m.good.(idx m f net) and fa = m.faulty.(idx m f net) in
-  g <> VX && fa <> VX && g <> fa
-
-let composite_x m f net =
-  m.good.(idx m f net) = VX || m.faulty.(idx m f net) = VX
+let has_d m f net = d_at m (idx m f net)
 
 (* D-frontier: gates with an X output and at least one D input. *)
 let d_frontier m =
@@ -241,60 +182,50 @@ let d_frontier m =
         match m.c.N.drv.(net) with
         | N.Pi _ | N.Ff _ | N.C0 | N.C1 -> ()
         | d ->
-          if composite_x m f net
+          if composite_x m (idx m f net)
              && List.exists (fun i -> has_d m f i) (N.fanins d)
           then result := (f, net) :: !result)
-      m.order
+      m.sim.Sim.Eval.order
   done;
   !result
 
 (* For a frontier gate, the objective that helps the D through. *)
 let propagation_objective m (f, net) =
-  let x_inputs d =
-    List.filter
-      (fun i -> m.good.(idx m f i) = VX && m.controllable.(idx m f i))
-      (N.fanins d)
+  let x_ctl i = good_x m (idx m f i) && m.controllable.(idx m f i) in
+  let first_x v d =
+    match List.filter x_ctl (N.fanins d) with
+    | i :: _ -> Some (f, i, v)
+    | [] -> None
   in
   match m.c.N.drv.(net) with
-  | N.G2 (N.And, _, _) | N.G2 (N.Nand, _, _) ->
-    (match x_inputs m.c.N.drv.(net) with
-     | i :: _ -> Some (f, i, V1)
-     | [] -> None)
-  | N.G2 (N.Or, _, _) | N.G2 (N.Nor, _, _) ->
-    (match x_inputs m.c.N.drv.(net) with
-     | i :: _ -> Some (f, i, V0)
-     | [] -> None)
-  | N.G2 ((N.Xor | N.Xnor), _, _) ->
-    (match x_inputs m.c.N.drv.(net) with
-     | i :: _ -> Some (f, i, V0)
-     | [] -> None)
+  | N.G2 ((N.And | N.Nand), _, _) as d -> first_x true d
+  | N.G2 ((N.Or | N.Nor | N.Xor | N.Xnor), _, _) as d -> first_x false d
   | N.Mux (s, a, b) ->
-    let x_ctl i = m.good.(idx m f i) = VX && m.controllable.(idx m f i) in
-    let gv i = m.good.(idx m f i) in
+    let known i = not (good_x m (idx m f i)) in
+    let one i = good_is m (idx m f i) true in
     if has_d m f s then begin
       (* the fault effect sits on the select: the two data inputs must
          carry different values for it to show at the output *)
-      if gv a <> VX && x_ctl b then Some (f, b, v_neg (gv a))
-      else if gv b <> VX && x_ctl a then Some (f, a, v_neg (gv b))
-      else if x_ctl a then Some (f, a, V0)
-      else if x_ctl b then Some (f, b, V1)
+      if known a && x_ctl b then Some (f, b, not (one a))
+      else if known b && x_ctl a then Some (f, a, not (one b))
+      else if x_ctl a then Some (f, a, false)
+      else if x_ctl b then Some (f, b, true)
       else None
     end
     else if has_d m f a then
       (* route branch a through: select must be 0 *)
-      (if x_ctl s then Some (f, s, V0) else None)
+      (if x_ctl s then Some (f, s, false) else None)
     else if has_d m f b then
-      (if x_ctl s then Some (f, s, V1) else None)
+      (if x_ctl s then Some (f, s, true) else None)
     else None
   | _ -> None
 
 let activation_objective m =
   let site = m.fault.Fault.f_net in
-  let want = v_neg (of_bool m.fault.Fault.f_stuck) in
   let rec go f =
     if f >= m.cfg.frames then None
-    else if m.good.(idx m f site) = VX && m.controllable.(idx m f site) then
-      Some (f, site, want)
+    else if good_x m (idx m f site) && m.controllable.(idx m f site) then
+      Some (f, site, not m.fault.Fault.f_stuck)
     else go (f + 1)
   in
   go 0
@@ -326,24 +257,22 @@ let choose_objective m =
 (* Backtrace.                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* [backtrace m f net v] follows the objective "net = v in frame f" to
+   an unassigned input; it returns the input's number and value. *)
 let rec backtrace m f net v =
   let ctl i = m.controllable.(idx m f i) in
-  let gval i = m.good.(idx m f i) in
+  let gx i = good_x m (idx m f i) in
+  let gis i v = good_is m (idx m f i) v in
   (* a small random jitter on costs diversifies restarts with a
      different seed, escaping reconvergence pathologies *)
   let cost want i =
-    let base =
-      match want with
-      | V0 -> m.cost0.(idx m f i)
-      | V1 -> m.cost1.(idx m f i)
-      | VX -> big
-    in
+    let base = (if want then m.cost1 else m.cost0).(idx m f i) in
     if base >= big then base else base + Random.State.int m.rng 3
   in
   (* among X controllable inputs, the cheapest (or costliest) to justify
      toward [want] *)
   let pick_by sel want candidates =
-    let xs = List.filter (fun i -> gval i = VX && ctl i) candidates in
+    let xs = List.filter (fun i -> gx i && ctl i) candidates in
     match xs with
     | [] -> None
     | first :: rest ->
@@ -351,52 +280,44 @@ let rec backtrace m f net v =
       Some (List.fold_left better first rest)
   in
   let easiest = pick_by ( < ) and hardest = pick_by ( > ) in
+  let via v = function Some i -> backtrace m f i v | None -> None in
   match m.c.N.drv.(net) with
-  | N.Pi i -> Some (In_pi (f, i), v)
+  | N.Pi i -> Some ((f * m.npis) + i, v)
   | N.Ff i ->
     if f > 0 then backtrace m (f - 1) m.c.N.ff_d.(i) v
-    else if m.pier_set.(i) then Some (In_pier i, v)
+    else if m.slot.(i) >= 0 then
+      Some ((m.cfg.frames * m.npis) + m.slot.(i), v)
     else None
   | N.C0 | N.C1 -> None
-  | N.G1 (N.Inv, a) -> backtrace m f a (v_neg v)
+  | N.G1 (N.Inv, a) -> backtrace m f a (not v)
   | N.G1 (N.Buff, a) -> backtrace m f a v
   | N.G2 (kind, a, b) ->
-    let v = match kind with N.Nand | N.Nor -> v_neg v | _ -> v in
+    let v = match kind with N.Nand | N.Nor -> not v | _ -> v in
     (match kind with
      | N.And | N.Nand ->
        (* output 1 needs every input: take the hardest first so failure
           surfaces early; output 0 needs any input: take the easiest *)
-       let choice = if v = V1 then hardest V1 [ a; b ] else easiest V0 [ a; b ] in
-       (match choice with Some i -> backtrace m f i v | None -> None)
+       via v (if v then hardest true [ a; b ] else easiest false [ a; b ])
      | N.Or | N.Nor ->
-       let choice = if v = V0 then hardest V0 [ a; b ] else easiest V1 [ a; b ] in
-       (match choice with Some i -> backtrace m f i v | None -> None)
+       via v (if v then easiest true [ a; b ] else hardest false [ a; b ])
      | N.Xor | N.Xnor ->
-       let v = if kind = N.Xnor then v_neg v else v in
-       if gval a <> VX then backtrace m f b (v_xor v (gval a))
-       else if gval b <> VX then backtrace m f a (v_xor v (gval b))
-       else
-         (match easiest v [ a; b ] with
-          | Some i -> backtrace m f i v
-          | None -> None))
+       let v = if kind = N.Xnor then not v else v in
+       if not (gx a) then backtrace m f b (v <> gis a true)
+       else if not (gx b) then backtrace m f a (v <> gis b true)
+       else via v (easiest v [ a; b ]))
   | N.Mux (s, a, b) ->
-    (match gval s with
-     | V0 -> backtrace m f a v
-     | V1 -> backtrace m f b v
-     | VX ->
-       if gval a <> VX && gval a = v && ctl s then backtrace m f s V0
-       else if gval b <> VX && gval b = v && ctl s then backtrace m f s V1
-       else if ctl s then begin
-         (* steer the select toward the branch where [v] is cheaper *)
-         let ca = if gval a = VX && ctl a then cost v a else big in
-         let cb = if gval b = VX && ctl b then cost v b else big in
-         if ca = big && cb = big then None
-         else backtrace m f s (if ca <= cb then V0 else V1)
-       end
-       else
-         (match easiest v [ a; b ] with
-          | Some i -> backtrace m f i v
-          | None -> None))
+    if gis s false then backtrace m f a v
+    else if gis s true then backtrace m f b v
+    else if gis a v && ctl s then backtrace m f s false
+    else if gis b v && ctl s then backtrace m f s true
+    else if ctl s then begin
+      (* steer the select toward the branch where [v] is cheaper *)
+      let ca = if gx a && ctl a then cost v a else big in
+      let cb = if gx b && ctl b then cost v b else big in
+      if ca = big && cb = big then None
+      else backtrace m f s (ca > cb)
+    end
+    else via v (easiest v [ a; b ])
 
 (* ------------------------------------------------------------------ *)
 (* Search.                                                             *)
@@ -407,47 +328,54 @@ type decision = {
   mutable d_flipped : bool;
 }
 
+let input m k =
+  let n = m.cfg.frames * m.npis in
+  if k < n then m.pis.(k / m.npis).(k mod m.npis) else m.loads.(k - n)
+
+let assign m k v =
+  let n = m.cfg.frames * m.npis in
+  if k < n then m.pis.(k / m.npis).(k mod m.npis) <- v
+  else m.loads.(k - n) <- v
+
+(* Unassigned primary inputs are 0 in the test; unassigned PIERs are
+   not loaded. *)
 let extract_test m =
-  let vectors =
-    Array.init m.cfg.frames (fun f ->
-        Array.init (N.num_pis m.c) (fun i ->
-            match Hashtbl.find_opt m.input_index (In_pi (f, i)) with
-            | Some k -> m.assignment.(k) = V1
-            | None -> false))
-  in
-  let loads =
-    List.filter_map
-      (fun i ->
-        match Hashtbl.find_opt m.input_index (In_pier i) with
-        | Some k when m.assignment.(k) <> VX -> Some (i, m.assignment.(k) = V1)
-        | _ -> None)
-      m.cfg.piers
-  in
-  { Pattern.p_vectors = vectors; p_loads = loads }
+  { Pattern.p_vectors = Array.map (Array.map (fun v -> L.get v 0 = Some true)) m.pis;
+    p_loads =
+      List.filter_map
+        (fun i -> Option.map (fun b -> (i, b)) (L.get m.loads.(m.slot.(i)) 0))
+        m.cfg.piers }
 
 let make_model c cfg fault =
-  let nets = N.num_nets c in
-  let order = (N.analysis c).N.Analysis.order in
-  let pier_set = Array.make (max 1 (N.num_ffs c)) false in
-  List.iter (fun i -> pier_set.(i) <- true) cfg.piers;
-  let inputs =
-    Array.of_list
-      (List.concat_map
-         (fun f -> List.init (N.num_pis c) (fun i -> In_pi (f, i)))
-         (List.init cfg.frames Fun.id)
-       @ List.map (fun i -> In_pier i) cfg.piers)
+  let nets = N.num_nets c and npis = N.num_pis c in
+  let sim = Sim.Eval.create c in
+  let order = sim.Sim.Eval.order in
+  let slot = Array.make (N.num_ffs c) (-1) in
+  List.iteri (fun s i -> slot.(i) <- s) cfg.piers;
+  let hooked = Array.make nets false in
+  hooked.(fault.Fault.f_net) <- true;
+  let at _ v = L.set v 1 (Some fault.Fault.f_stuck) in
+  (* the POs of every frame, then the PIERs' next state at the last *)
+  let last = (cfg.frames - 1) * nets in
+  let observe =
+    Array.concat
+      (List.init cfg.frames (fun f -> Array.map (( + ) (f * nets)) c.N.pos)
+       @ [ Array.of_list
+             (List.filter_map
+                (fun i -> if slot.(i) >= 0 then Some (last + c.N.ff_d.(i)) else None)
+                (List.init (N.num_ffs c) Fun.id)) ])
   in
-  let input_index = Hashtbl.create 64 in
-  Array.iteri (fun k inp -> Hashtbl.replace input_index inp k) inputs;
-  let (cost0, cost1) = compute_costs c cfg order pier_set in
-  { c; cfg; nets; order; pier_set;
-    good = Array.make (cfg.frames * nets) VX;
-    faulty = Array.make (cfg.frames * nets) VX;
-    controllable = compute_controllable c cfg order pier_set;
+  let (cost0, cost1) = compute_costs c cfg order slot in
+  { c; cfg; nets; npis; sim; hook = { Sim.Eval.hooked; at }; slot;
+    pis = Array.init cfg.frames (fun _ -> Array.make npis L.x);
+    loads = Array.make (List.length cfg.piers) L.x;
+    hi = Array.make (cfg.frames * nets) 0;
+    lo = Array.make (cfg.frames * nets) 0;
+    observe;
+    controllable = compute_controllable c cfg order slot;
     cost0; cost1;
-    dist = compute_dist c order pier_set;
-    fault; inputs; input_index;
-    assignment = Array.make (Array.length inputs) VX;
+    dist = compute_dist c order slot;
+    fault;
     rng = Random.State.make [| cfg.seed; fault.Fault.f_net |];
     backtracks = 0 }
 
@@ -475,10 +403,9 @@ let run ?(budget = Engine.Budget.none) c cfg fault =
       match choose_objective m with
       | Some (f, net, v) ->
         (match backtrace m f net v with
-         | Some (input, v) when v <> VX ->
-           let k = Hashtbl.find m.input_index input in
+         | Some (k, v) ->
            incr decisions;
-           m.assignment.(k) <- v;
+           assign m k (if v then L.one else L.zero);
            stack := { d_input = k; d_flipped = false } :: !stack;
            simulate m;
            step ()
@@ -494,13 +421,13 @@ let run ?(budget = Engine.Budget.none) c cfg fault =
         | [] -> Exhausted
         | d :: rest ->
           if d.d_flipped then begin
-            m.assignment.(d.d_input) <- VX;
+            assign m d.d_input L.x;
             stack := rest;
             pop ()
           end
           else begin
             d.d_flipped <- true;
-            m.assignment.(d.d_input) <- v_neg m.assignment.(d.d_input);
+            assign m d.d_input (L.v_not (input m d.d_input));
             simulate m;
             step ()
           end

@@ -255,7 +255,6 @@ let podem_tests =
           faults);
     test "generated tests verified by fault simulation" (fun () ->
         let c = circuit c17 in
-        let faults = F.all c in
         List.iter
           (fun f ->
             match P.run c { P.default_config with frames = 1; backtrack_limit = 50 } f with
@@ -266,7 +265,36 @@ let podem_tests =
               in
               check_bool "fsim confirms" true confirmed.(0)
             | _ -> Alcotest.fail "expected detection")
-          faults);
+          (F.all c);
+        (* sequential, with PIERs loaded at frame 0 and observed after
+           the last frame: the reference oracle confirms every test *)
+        let e = Circuits.Collection.gcd in
+        let c = circuit ~top:e.Circuits.Collection.e_top e.Circuits.Collection.e_source in
+        let piers = Factor.Pier.identify c in
+        let observe = { Atpg.Fsim.ob_pos = true; ob_pier_ffs = piers } in
+        List.iter
+          (fun frames ->
+            let cfg =
+              { P.default_config with frames; backtrack_limit = 20; piers }
+            in
+            let detected =
+              List.filter
+                (fun f ->
+                  match P.run c cfg f with
+                  | P.Detected t ->
+                    let confirmed =
+                      Atpg.Fsim.run ~engine:Atpg.Fsim.Reference c ~observe
+                        ~faults:[ f ] [ t ]
+                    in
+                    check_bool (F.to_string c f ^ " confirmed") true
+                      confirmed.(0);
+                    true
+                  | _ -> false)
+                (F.collapse c (F.all c))
+            in
+            check_bool "most faults detected" true
+              (List.length detected > 100))
+          [ 2; 3 ]);
     test "redundant fault proven untestable" (fun () ->
         let c = circuit redundant in
         (* y sa... the classic redundancy: t1 path under a&b vs a&~b; the
@@ -756,15 +784,16 @@ let simgen_tests =
          | None -> Alcotest.fail "should detect within the budget")) ]
 
 (* ------------------------------------------------------------------ *)
-(* Golden results of the three-valued parallel-fault simulators.        *)
+(* Golden results of the three-valued simulators and of PODEM.         *)
 (* ------------------------------------------------------------------ *)
 
 (* A sequential corpus design with PIERs, seeded multi-frame tests, and
    the per-fault flags of the stuck-at reference oracle, the transition
    and the bridging fault models, plus the exact tests Simgen's campaign
-   returns — all pinned, so any rewrite of the simulation underneath
-   them must reproduce them bit for bit.  A flag string is '1' for a
-   detected fault, in fault order. *)
+   returns and PODEM's per-fault outcomes, tests and search counts — all
+   pinned, so any rewrite of the simulation underneath them must
+   reproduce them bit for bit.  A flag string is '1' for a detected
+   fault, in fault order. *)
 let golden_setup () =
   let e = Circuits.Collection.gcd in
   let c = circuit ~top:e.Circuits.Collection.e_top e.Circuits.Collection.e_source in
@@ -829,7 +858,43 @@ let golden_tests =
         check_int "detected" 562 r.Atpg.Simgen.sr_detected;
         check_string "tests digest" "e838194a7407c73190364c2e1d2a0d4d"
           (Digest.to_hex
-             (Digest.string (Atpg.Pattern.write_string r.Atpg.Simgen.sr_tests))))
+             (Digest.string (Atpg.Pattern.write_string r.Atpg.Simgen.sr_tests))));
+    test "podem outcomes and tests" (fun () ->
+        let (c, piers, _, _) = golden_setup () in
+        let faults = F.all c in
+        let counter = Obs.Metrics.counter in
+        let decisions = counter "factor.podem.decisions"
+        and backtracks = counter "factor.podem.backtracks" in
+        let golden frames ~count ~digest ~tests ~dec ~bt =
+          let d0 = Obs.Metrics.value decisions
+          and b0 = Obs.Metrics.value backtracks in
+          let cfg =
+            { P.default_config with frames; backtrack_limit = 40; piers }
+          in
+          let outcomes = List.map (P.run c cfg) faults in
+          let what = Printf.sprintf "podem %d frames" frames in
+          check_golden what ~count ~digest
+            (String.concat ""
+               (List.map
+                  (function
+                    | P.Detected _ -> "1" | P.Exhausted -> "0" | P.Aborted -> "a")
+                  outcomes));
+          check_string (what ^ " tests digest") tests
+            (Digest.to_hex
+               (Digest.string
+                  (Atpg.Pattern.write_string
+                     (List.filter_map
+                        (function P.Detected t -> Some t | _ -> None)
+                        outcomes))));
+          check_int (what ^ " decisions") dec (Obs.Metrics.value decisions - d0);
+          check_int (what ^ " backtracks") bt (Obs.Metrics.value backtracks - b0)
+        in
+        golden 1 ~count:717 ~digest:"638db04db965751f1369c0e28db686da"
+          ~tests:"67b88da978b37702d6d593fb3899cfc5" ~dec:5693 ~bt:593;
+        golden 2 ~count:711 ~digest:"20f419b4758757dcce7dccf0f7b379a1"
+          ~tests:"a84569e49665b20d4eeb34c166ca5170" ~dec:8168 ~bt:859;
+        golden 3 ~count:718 ~digest:"e0257d7cb1674a079c304fab8b646b96"
+          ~tests:"d9d04571f3c6f23c161995d4fb2a8958" ~dec:8525 ~bt:596)
   ]
 
 let () =
